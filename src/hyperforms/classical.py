@@ -4,13 +4,9 @@ invariants, and the three-form Wronskian."""
 from __future__ import annotations
 
 from .errors import DomainError
-from .hyperdet import _sylvester_rows, det_rows
+from .hyperdet import _sylvester_rows, det_rows, det_square
 from .poly import MultiPoly
 from .tensor import Tensor
-
-
-def _as_binary_form(f: MultiPoly, xy) -> MultiPoly:
-    return f.with_vars(f.vars + tuple(v for v in xy if v not in f.vars))
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
@@ -19,8 +15,8 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
     Vanishes exactly when the forms share a projective root; bihomogeneous
     of degree (deg g, deg f) in the coefficients.
     """
-    f = _as_binary_form(f, xy)
-    g = _as_binary_form(g, xy)
+    f = f.extend_vars(xy)
+    g = g.extend_vars(xy)
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant of the zero polynomial is undefined")
     m = f.homogeneous_degree_in(xy)
@@ -33,7 +29,7 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
 
 
 def _quartic_coefficients(f: MultiPoly, xy) -> list[MultiPoly]:
-    f = _as_binary_form(f, xy)
+    f = f.extend_vars(xy)
     if f.homogeneous_degree_in(xy) not in (4, -1):  # zero form is a degenerate quartic
         raise DomainError(
             f"expected a binary quartic, got degree {f.homogeneous_degree_in(xy)}")
@@ -53,9 +49,7 @@ def hankel_matrix(f: MultiPoly, xy=("x", "y")) -> Tensor:
 
 def hankel_quartic(f: MultiPoly, xy=("x", "y")) -> MultiPoly:
     """One eighth of the catalecticant determinant; degree 3 in the coefficients."""
-    m = hankel_matrix(f, xy)
-    rows = [[m[(i, j)] for j in range(3)] for i in range(3)]
-    return det_rows(rows) / 8
+    return det_square(hankel_matrix(f, xy)) / 8
 
 
 def apolar_quartic(f: MultiPoly, xy=("x", "y")) -> MultiPoly:
@@ -72,7 +66,7 @@ def wronskian3(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly, xy=("x", "y")) -> Mu
     """Wronskian of three equal-degree binary forms in the dehomogenised
     variable x/y; identically zero iff the forms are linearly dependent."""
     x, y = xy
-    forms = [_as_binary_form(f, xy) for f in (f1, f2, f3)]
+    forms = [f.extend_vars(xy) for f in (f1, f2, f3)]
     degs = {f.homogeneous_degree_in(xy) for f in forms if not f.is_zero()}
     if len(degs) > 1:
         raise DomainError(f"forms mix degrees {sorted(degs)}")

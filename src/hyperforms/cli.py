@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .classical import apolar_quartic, hankel_quartic, sylvester_resultant, wronskian3
-from .errors import DomainError, ParseError, UnsupportedFormatError
+from .errors import DomainError, HyperformsError, UnsupportedFormatError
 from .gramm import gramm_form, project_k, skew_gramm
 from .hyperdet import binary_form_disc, hyperdet
 from .parser import parse_poly
@@ -63,7 +63,10 @@ def _parse_vectors(text: str) -> list[list[Fraction]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        vectors.append([Fraction(c.strip()) for c in chunk.split(",")])
+        try:
+            vectors.append([Fraction(c.strip()) for c in chunk.split(",")])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in vector {chunk!r}") from None
     if not vectors:
         raise DomainError("expected vectors like '1,0;0,1'")
     return vectors
@@ -277,21 +280,11 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (HyperformsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, UnsupportedFormatError):
+            return 4
+        return 3 if isinstance(exc, DomainError) else 2
 
 
 def main() -> None:

@@ -106,8 +106,7 @@ def projector_trace(d: int, dim: int, k: int) -> Fraction:
     """
     shape = (dim,) * d
     total = Fraction(0)
-    unit = Tensor.zeros(shape)
-    for idx in unit.indices():
+    for idx in itertools.product(*map(range, shape)):
         basis = Tensor.from_function(
             shape, lambda i, idx=idx: MultiPoly.constant(1 if i == idx else 0))
         diag = project_k(basis, k)[idx].as_scalar()

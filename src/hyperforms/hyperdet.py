@@ -2,11 +2,11 @@
 
 Square matrices go through exact fraction-free elimination.  The genuinely
 multidimensional formats (2x2x2, 2x2x3 in any axis order, 2x2x2x2) are
-computed by the Schlaefli chain: contract the last axis with fresh auxiliary
-variables, take the determinant (or hyperdeterminant) of the resulting
-pencil, then take the discriminant of that form in the auxiliary variables.
-A hardcoded degree-4 expansion for 2x2x2 serves as an independent
-cross-check of the chain.
+computed by one recursive Schlaefli step: contract the longest axis with
+fresh auxiliary variables, take the hyperdeterminant of the resulting pencil
+(a determinant, or again a Schlaefli step), then take the discriminant of
+that form in the auxiliary variables.  A hardcoded degree-4 expansion for
+2x2x2 serves as an independent cross-check of the recursion.
 """
 
 from __future__ import annotations
@@ -61,12 +61,6 @@ def _align_rows(rows):
     return [[p.with_vars(merged) for p in row] for row in rows], merged
 
 
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 def det_rows(rows) -> MultiPoly:
     """Determinant of a square list-of-lists of polynomials.
 
@@ -84,7 +78,9 @@ def det_rows(rows) -> MultiPoly:
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if n == 3:
-        return _det3(m)
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -144,7 +140,7 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
     formal degree when leading coefficients may have specialised to zero.
     """
     x, y = xy
-    f = f.with_vars(f.vars + tuple(v for v in xy if v not in f.vars))
+    f = f.extend_vars(xy)
     observed = f.homogeneous_degree_in(xy)
     d = observed if degree is None else degree
     if d < 2:
@@ -162,12 +158,11 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
 
 def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:
     """Determinant of the matrix of second partials of a ternary quadratic."""
-    q = q.with_vars(q.vars + tuple(v for v in uvw if v not in q.vars))
+    q = q.extend_vars(uvw)
     if q.homogeneous_degree_in(uvw) not in (2, -1):
         raise DomainError(
             f"expected a quadratic in {tuple(uvw)}, got degree {q.homogeneous_degree_in(uvw)}")
-    rows = [[q.partial(a).partial(b).drop_vars(uvw) for b in uvw] for a in uvw]
-    return _det3(rows)
+    return det_rows([[q.partial(a).partial(b).drop_vars(uvw) for b in uvw] for a in uvw])
 
 
 # -- hyperdeterminants ----------------------------------------------------------
@@ -176,7 +171,7 @@ def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:
 def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
     """Closed-form degree-4 hyperdeterminant of a 2x2x2 tensor.
 
-    Independent of the Schlaefli chain; used to cross-check it.
+    Independent of the Schlaefli step; used to cross-check it.
     """
     if t.shape != (2, 2, 2):
         raise DomainError(f"expected shape 2x2x2, got {_shape_str(t.shape)}")
@@ -196,36 +191,26 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
     return sq - 2 * pairs + 4 * diag
 
 
-def _hyperdet_222(t: Tensor) -> MultiPoly:
-    u = fresh_names(t.vars, 2)
-    pencil = t.contract_axis(2, u)
-    pdet = pencil[0, 0] * pencil[1, 1] - pencil[0, 1] * pencil[1, 0]
-    return binary_form_disc(pdet, u, degree=2)
-
-
-def _hyperdet_223(t: Tensor) -> MultiPoly:
-    three = [i for i, n in enumerate(t.shape) if n == 3]
-    perm = [i for i, n in enumerate(t.shape) if n == 2] + three
-    if perm != [0, 1, 2]:
-        t = t.transpose(perm)
-    u = fresh_names(t.vars, 3)
-    pencil = t.contract_axis(2, u)
-    pdet = pencil[0, 0] * pencil[1, 1] - pencil[0, 1] * pencil[1, 0]
-    return ternary_quadratic_disc(pdet, u)
-
-
-def _hyperdet_2222(t: Tensor) -> MultiPoly:
-    u = fresh_names(t.vars, 2)
-    pencil = t.contract_axis(3, u)
-    inner = _hyperdet_222(pencil)
-    return binary_form_disc(inner, u, degree=4)
+def _schlaefli(t: Tensor) -> MultiPoly:
+    # The longest axis goes last, ties to the highest index, so 2x2x3 in any
+    # axis order contracts its 3-axis.
+    last = max(range(t.ndim), key=lambda i: (t.shape[i], i))
+    if last != t.ndim - 1:
+        t = t.transpose([i for i in range(t.ndim) if i != last] + [last])
+    u = fresh_names(t.vars, t.shape[-1])
+    pencil = t.contract_axis(t.ndim - 1, u)
+    form = det_square(pencil) if pencil.ndim == 2 else _schlaefli(pencil)
+    if len(u) == 3:
+        return ternary_quadratic_disc(form, u)
+    # a 2x2 determinant is a quadratic in u, a 2x2x2 hyperdeterminant a quartic
+    return binary_form_disc(form, u, degree=2 * (t.ndim - 2))
 
 
 def hyperdet(t: Tensor) -> MultiPoly:
     """Hyperdeterminant of a tensor on a supported format.
 
     k x k matrices give the determinant; 2x2x2, 2x2x3 (any axis order) and
-    2x2x2x2 go through the Schlaefli chain.  Raises DomainError when no
+    2x2x2x2 go through the recursive Schlaefli step.  Raises DomainError when no
     hyperdeterminant exists for the format and UnsupportedFormatError for
     admissible formats outside the implemented set.
     """
@@ -237,8 +222,4 @@ def hyperdet(t: Tensor) -> MultiPoly:
         raise UnsupportedFormatError(f"format {_shape_str(t.shape)} unsupported")
     if fmt is Format.SQUARE:
         return det_square(t)
-    if t.shape == (2, 2, 2):
-        return _hyperdet_222(t)
-    if sorted(t.shape) == [2, 2, 3]:
-        return _hyperdet_223(t)
-    return _hyperdet_2222(t)
+    return _schlaefli(t)

@@ -25,6 +25,10 @@ _TOKEN = re.compile(
 
 _ZETA = re.compile(r"zeta([1-9][0-9]*)$")
 
+# Parentheses and unary minus recurse; refuse deep nesting before Python's
+# own recursion limit turns it into a crash.
+_MAX_DEPTH = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -44,7 +48,10 @@ class _Parser:
     def __init__(self, text: str, variables):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.vars = tuple(variables)
+        if len(set(self.vars)) != len(self.vars):
+            raise ValueError(f"duplicate variable names in {self.vars}")
         for v in self.vars:
             if _ZETA.match(v):
                 raise ValueError(f"variable name {v!r} is reserved for roots of unity")
@@ -86,10 +93,16 @@ class _Parser:
 
     # factor := '-' factor | power
     def factor(self) -> MultiPoly:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", self.peek()[2])
         if self.at_op("-"):
             self.take()
-            return -self.factor()
-        return self.power()
+            p = -self.factor()
+        else:
+            p = self.power()
+        self.depth -= 1
+        return p
 
     # power := atom ('^' non-negative-integer)?
     def power(self) -> MultiPoly:

@@ -17,10 +17,6 @@ from .poly import MultiPoly
 from .tensor import MultiIndexSet, Tensor
 
 
-def _with_geo_vars(f: MultiPoly, geo) -> MultiPoly:
-    return f.with_vars(f.vars + tuple(v for v in geo if v not in f.vars))
-
-
 def _form_degree(f: MultiPoly, geo) -> int:
     d = f.homogeneous_degree_in(geo)
     if d < 0:
@@ -58,7 +54,7 @@ def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
     if not key or any(k < 1 for k in key):
         raise DomainError(f"polarisation key must be positive integers, got {key}")
     geo = tuple(geo_vars)
-    f = _with_geo_vars(f, geo)
+    f = f.extend_vars(geo)
     k = _form_degree(f, geo)
     total = sum(key)
     if total > k:
@@ -81,7 +77,7 @@ def hyperhessian(f: MultiPoly, key, geo_vars) -> MultiPoly:
 def _system_degree(forms, geo) -> int:
     degs = set()
     for f in forms:
-        degs.add(_form_degree(_with_geo_vars(f, geo), geo))
+        degs.add(_form_degree(f.extend_vars(geo), geo))
     if len(degs) != 1:
         raise DomainError(f"system mixes degrees {sorted(degs)}")
     return degs.pop()
@@ -100,12 +96,7 @@ def jacobi_form(forms, key, geo_vars) -> Tensor:
     _system_degree(forms, geo)
     pols = [polarize(f, key, geo) for f in forms]
     base = pols[0].shape
-    shape = base + (len(forms),)
-    entries = []
-    for idx in itertools.product(*map(range, base)):
-        for p in pols:
-            entries.append(p[idx])
-    return Tensor(shape, entries)
+    return Tensor.from_function(base + (len(forms),), lambda idx: pols[idx[-1]][idx[:-1]])
 
 
 _HYPERRESULTANT_FORMATS = {(2, 2, 2), (2, 3, 2), (2, 2, 3)}  # (nvars, m, degree)
@@ -138,11 +129,8 @@ def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
     if steps < 0:
         raise DomainError("steps must be >= 0")
     geo = tuple(geo_vars)
-    f = _with_geo_vars(f, geo)
+    f = f.extend_vars(geo)
     n = len(geo)
     derivs = _DerivativeCache(f, geo)
-    entries = []
-    for idx in itertools.product(range(n), repeat=steps):
-        alpha = tuple(idx.count(i) for i in range(n))
-        entries.append(derivs.get(alpha))
-    return Tensor((n,) * steps, entries, f.vars)
+    return Tensor.from_function(
+        (n,) * steps, lambda idx: derivs.get(tuple(idx.count(i) for i in range(n))), f.vars)

@@ -94,15 +94,6 @@ class MultiPoly:
         """Largest term degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, names) -> int:
-        idx = [self.vars.index(v) for v in names]
-        return max((sum(e[i] for i in idx) for e in self.terms), default=-1)
-
-    def is_homogeneous_in(self, names) -> bool:
-        idx = [self.vars.index(v) for v in names]
-        degs = {sum(e[i] for i in idx) for e in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_degree_in(self, names) -> int:
         """Common degree of all terms in the given variables; error if mixed."""
         idx = [self.vars.index(v) for v in names]
@@ -115,13 +106,6 @@ class MultiPoly:
     def uses(self, name: str) -> bool:
         i = self.vars.index(name)
         return any(e[i] for e in self.terms)
-
-    def leading_term(self):
-        """(exponents, coefficient) of the graded-lex leading term; None if zero."""
-        if not self.terms:
-            return None
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
 
     def as_scalar(self):
         """The value of a constant polynomial (0 for the zero polynomial)."""
@@ -154,6 +138,10 @@ class MultiPoly:
                     ne[src[i]] = x
             out[tuple(ne)] = c
         return MultiPoly._raw(vs, out)
+
+    def extend_vars(self, names) -> "MultiPoly":
+        """Append the given names that are not yet variables."""
+        return self.with_vars(self.vars + tuple(v for v in names if v not in self.vars))
 
     def drop_vars(self, names) -> "MultiPoly":
         """Remove variables that appear in no term."""
@@ -255,8 +243,6 @@ class MultiPoly:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        if self.vars == o.vars:
-            return self.terms == o.terms
         p, q = self._aligned(o)
         return p.terms == q.terms
 
@@ -286,14 +272,13 @@ class MultiPoly:
 
     def subs(self, assignment: dict) -> "MultiPoly":
         """Simultaneous substitution of scalars or polynomials for variables."""
-        relevant = {v: val for v, val in assignment.items() if v in self.vars}
         for v in assignment:
             if v not in self.vars:
                 raise DomainError(f"unknown variable {v!r}; have {self.vars}")
-        if not relevant:
+        if not assignment:
             return self
         values = {}
-        for v, val in relevant.items():
+        for v, val in assignment.items():
             if isinstance(val, COEFF_TYPES):
                 val = MultiPoly.constant(val)
             values[v] = val

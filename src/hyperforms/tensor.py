@@ -114,12 +114,8 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape, variables=()) -> "Tensor":
-        shape = check_shape(shape)
-        size = 1
-        for n in shape:
-            size *= n
         z = MultiPoly.zero(variables)
-        return cls(shape, [z] * size, variables)
+        return cls.from_function(shape, lambda _: z, variables)
 
     @classmethod
     def from_function(cls, shape, fn, variables=None) -> "Tensor":
@@ -189,11 +185,9 @@ class Tensor:
         if sorted(perm) != list(range(self.ndim)):
             raise ValueError(f"{perm} is not a permutation of axes")
         new_shape = tuple(self.shape[p] for p in perm)
-        out = Tensor.zeros(new_shape, self.vars)
-        entries = list(out.entries)
-        for idx in self.indices():
-            nidx = tuple(idx[p] for p in perm)
-            entries[out.flat_index(nidx)] = self[idx]
+        inverse = [perm.index(axis) for axis in range(self.ndim)]
+        entries = [self[tuple(nidx[i] for i in inverse)]
+                   for nidx in itertools.product(*map(range, new_shape))]
         return Tensor(new_shape, entries, self.vars)
 
     def contract_axis(self, axis: int, var_names) -> "Tensor":
@@ -231,7 +225,7 @@ class Tensor:
         rows = [list(r) for r in g]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix must be {n}x{n} for axis {axis}")
-        entries = [None] * len(self.entries)
+        entries = []
         for idx in self.indices():
             i = idx[axis]
             acc = MultiPoly.zero(self.vars)
@@ -239,7 +233,7 @@ class Tensor:
                 coeff = rows[i][j]
                 if coeff:
                     acc = acc + self[idx[:axis] + (j,) + idx[axis + 1:]] * coeff
-            entries[self.flat_index(idx)] = acc
+            entries.append(acc)
         return Tensor(self.shape, entries, self.vars)
 
     # -- serialisation -----------------------------------------------------------
@@ -258,13 +252,17 @@ class Tensor:
     def from_json_dict(cls, data: dict) -> "Tensor":
         from .parser import parse_poly
 
+        if not isinstance(data, dict):
+            raise ValueError("tensor JSON must be an object")
         missing = {"shape", "vars", "entries"} - set(data)
         if missing:
             raise ValueError(f"tensor JSON lacks keys: {sorted(missing)}")
-        shape = data["shape"]
+        for key, kind in (("shape", int), ("vars", str), ("entries", str)):
+            if not isinstance(data[key], list) or any(type(x) is not kind for x in data[key]):
+                raise ValueError(f"tensor JSON {key!r} must be a list of {kind.__name__}")
         variables = tuple(data["vars"])
         entries = [parse_poly(text, variables) for text in data["entries"]]
-        return cls(shape, entries, variables)
+        return cls(data["shape"], entries, variables)
 
     @classmethod
     def from_json(cls, text: str) -> "Tensor":

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .classical import apolar_quartic, hankel_quartic, sylvester_resultant, wronskian3
 from .errors import DomainError
 from .gramm import gramm_form, project_k, projector_trace
-from .hyperdet import binary_form_disc, cayley_hyperdet_222, hyperdet
+from .hyperdet import binary_form_disc, cayley_hyperdet_222, det_rows, hyperdet
 from .parser import parse_poly
 from .poly import MultiPoly
 from .polarisation import hyperhessian, hyperresultant
@@ -33,20 +33,17 @@ def factored_constant(q: Fraction) -> str:
         return "0"
     sign = "-" if q < 0 else "+"
     num, den = abs(q).numerator, abs(q).denominator
-    a = b = 0
-    while num % 2 == 0:
-        num //= 2
-        a += 1
-    while num % 3 == 0:
-        num //= 3
-        b += 1
-    while den % 2 == 0:
-        den //= 2
-        a -= 1
-    while den % 3 == 0:
-        den //= 3
-        b -= 1
-    return f"{sign}2^{a}*3^{b}*({num}/{den})"
+    exps = []
+    for p in (2, 3):
+        e = 0
+        while num % p == 0:
+            num //= p
+            e += 1
+        while den % p == 0:
+            den //= p
+            e -= 1
+        exps.append(e)
+    return f"{sign}2^{exps[0]}*3^{exps[1]}*({num}/{den})"
 
 
 def is_23_smooth(q: Fraction) -> bool:
@@ -126,14 +123,6 @@ class _ConstantPin:
         return None
 
 
-def _sample(rng, make, accept, what: str):
-    for _ in range(1000):
-        v = make()
-        if accept(v):
-            return v
-    raise DomainError(f"rejection sampling exhausted 1000 attempts for {what}")
-
-
 def _reject_degenerate(draw, what: str):
     """Resample until ``draw`` returns a non-None instance, capped at 1000."""
     for _ in range(1000):
@@ -144,91 +133,75 @@ def _reject_degenerate(draw, what: str):
 
 
 def _random_form(rng, degree: int, bound: int) -> MultiPoly:
-    def make():
-        return MultiPoly(
-            XY,
-            {(degree - i, i): Fraction(rng.randint(-bound, bound))
-             for i in range(degree + 1)})
-    return _sample(rng, make, lambda f: not f.is_zero(), f"degree-{degree} form")
+    def draw():
+        f = MultiPoly(XY, {(degree - i, i): Fraction(rng.randint(-bound, bound))
+                           for i in range(degree + 1)})
+        return None if f.is_zero() else f
+    return _reject_degenerate(draw, f"degree-{degree} form")
 
 
 def _random_tensor(rng, shape, bound: int) -> Tensor:
-    size = 1
-    for n in shape:
-        size *= n
-    return Tensor(shape, [MultiPoly.constant(rng.randint(-bound, bound))
-                          for _ in range(size)])
+    return Tensor.from_function(shape, lambda _: rng.randint(-bound, bound))
 
 
-def _random_matrix(rng, n: int, bound: int, invertible: bool = True):
-    def make():
-        return [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
-    if not invertible:
-        return make()
-    return _sample(rng, make, lambda g: bool(_det_scalar(g)), f"invertible {n}x{n} matrix")
+def _random_matrix(rng, n: int, bound: int):
+    """An invertible matrix of Fractions and its determinant."""
+    def draw():
+        g = [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
+        det = det_rows([[MultiPoly.constant(c) for c in row] for row in g]).as_scalar()
+        return (g, det) if det else None
+    return _reject_degenerate(draw, f"invertible {n}x{n} matrix")
 
 
-def _det_scalar(g) -> Fraction:
-    n = len(g)
-    if n == 1:
-        return g[0][0]
-    if n == 2:
-        return g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in g[1:]]
-        term = g[0][j] * _det_scalar(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+def _for_all(rec: IdentityRecord, trials: int, check) -> IdentityRecord:
+    """Run ``check`` up to ``trials`` times; the first counterexample string
+    it returns fails ``rec`` and ends the loop."""
+    for _ in range(trials):
+        bad = check()
+        if bad:
+            rec.passed = False
+            rec.counterexample = bad
+            break
+    return rec
 
 
-def _scalar(p) -> Fraction:
-    return p.as_scalar()
+def _pin_ratio(rec: IdentityRecord, draw, ratio) -> IdentityRecord:
+    """Check that ``ratio(*draw())``, a (value, witness) pair, has the same
+    value on each of ``rec.trials`` draws, and record that constant."""
+    pin = _ConstantPin()
+    _for_all(rec, rec.trials, lambda: pin.check(*ratio(*draw())))
+    rec.constant = pin.value if rec.passed else None
+    return rec
 
 
 # -- suites -------------------------------------------------------------------
 
 
 def suite_prop21(rng, trials, bound):
-    pin = _ConstantPin()
+    def pair():
+        f = _random_form(rng, 2, bound)
+        g = _random_form(rng, 2, bound)
+        res = sylvester_resultant(f, g).as_scalar()
+        return (f, g, res) if res else None
+
+    def ratio(f, g, res):
+        return hyperresultant([f, g], XY).as_scalar() / res, f"(f1={f}, f2={g})"
+
     rec = IdentityRecord("hyperresultant-vs-resultant", trials, True)
-    for _ in range(trials):
-        def draw():
-            f = _random_form(rng, 2, bound)
-            g = _random_form(rng, 2, bound)
-            res = _scalar(sylvester_resultant(f, g))
-            return (f, g, res) if res else None
-        f, g, res = _reject_degenerate(draw, "coprime quadratic pair")
-        ratio = _scalar(hyperresultant([f, g], XY)) / res
-        bad = pin.check(ratio, f"(f1={f}, f2={g})")
-        if bad:
-            rec.passed = False
-            rec.counterexample = bad
-            break
-    rec.constant = pin.value if rec.passed else None
-    return [rec]
+    return [_pin_ratio(rec, lambda: _reject_degenerate(pair, "coprime quadratic pair"), ratio)]
 
 
 def suite_wronskian(rng, trials, bound):
-    pin = _ConstantPin()
-    ratio_rec = IdentityRecord("wronskian-square-ratio", trials, True)
-    for _ in range(trials):
-        def draw():
-            fs = [_random_form(rng, 2, bound) for _ in range(3)]
-            w = wronskian3(*fs).as_scalar()
-            return (fs, w) if w else None
-        fs, w = _reject_degenerate(draw, "independent quadratic triple")
-        r3 = _scalar(hyperresultant(fs, XY))
-        bad = pin.check(r3 / w ** 2, f"(f1={fs[0]}, f2={fs[1]}, f3={fs[2]})")
-        if bad:
-            ratio_rec.passed = False
-            ratio_rec.counterexample = bad
-            break
-    ratio_rec.constant = pin.value if ratio_rec.passed else None
+    def triple():
+        fs = [_random_form(rng, 2, bound) for _ in range(3)]
+        w = wronskian3(*fs).as_scalar()
+        return (fs, w) if w else None
 
-    dep_trials = max(trials, 20)
-    dep_rec = IdentityRecord("dependent-triple-vanish", dep_trials, True)
-    for _ in range(dep_trials):
+    def ratio(fs, w):
+        r3 = hyperresultant(fs, XY).as_scalar()
+        return r3 / w ** 2, f"(f1={fs[0]}, f2={fs[1]}, f3={fs[2]})"
+
+    def dependent():
         f1 = _random_form(rng, 2, bound)
         f2 = _random_form(rng, 2, bound)
         a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
@@ -237,29 +210,27 @@ def suite_wronskian(rng, trials, bound):
             f3 = f1
         r3 = hyperresultant([f1, f2, f3], XY)
         if not r3.is_zero():
-            dep_rec.passed = False
-            dep_rec.counterexample = f"(f1={f1}, f2={f2}, f3={f3}) -> {r3}"
-            break
-    return [ratio_rec, dep_rec]
+            return f"(f1={f1}, f2={f2}, f3={f3}) -> {r3}"
+
+    ratio_rec = _pin_ratio(
+        IdentityRecord("wronskian-square-ratio", trials, True),
+        lambda: _reject_degenerate(triple, "independent quadratic triple"), ratio)
+    dep_trials = max(trials, 20)
+    dep_rec = IdentityRecord("dependent-triple-vanish", dep_trials, True)
+    return [ratio_rec, _for_all(dep_rec, dep_trials, dependent)]
 
 
 def suite_prop11(rng, trials, bound):
-    pin = _ConstantPin()
+    def cubic():
+        f = _random_form(rng, 3, bound)
+        disc = binary_form_disc(f).as_scalar()
+        return (f, disc) if disc else None
+
+    def ratio(f, disc):
+        return hyperhessian(f, (1, 1, 1), XY).as_scalar() / disc, f"(f={f})"
+
     rec = IdentityRecord("cubic-hyperhessian-vs-disc", trials, True)
-    for _ in range(trials):
-        def draw():
-            f = _random_form(rng, 3, bound)
-            disc = _scalar(binary_form_disc(f))
-            return (f, disc) if disc else None
-        f, disc = _reject_degenerate(draw, "nondegenerate cubic")
-        ratio = _scalar(hyperhessian(f, (1, 1, 1), XY)) / disc
-        bad = pin.check(ratio, f"(f={f})")
-        if bad:
-            rec.passed = False
-            rec.counterexample = bad
-            break
-    rec.constant = pin.value if rec.passed else None
-    return [rec]
+    return [_pin_ratio(rec, lambda: _reject_degenerate(cubic, "nondegenerate cubic"), ratio)]
 
 
 _QUARTIC_VARS = ("c40", "c31", "c22", "c13", "c04", "x", "y")
@@ -279,17 +250,16 @@ def suite_prop12(rng, trials, bound):
 
 
 def suite_prop24(rng, trials, bound):
-    rec = IdentityRecord("shared-root-hyperresultant-vanish", trials, True)
-    for _ in range(trials):
+    def shared_root():
         line = _random_form(rng, 1, bound)
         f = line * _random_form(rng, 2, bound)
         g = line * _random_form(rng, 2, bound)
         r2 = hyperresultant([f, g], XY)
         if not r2.is_zero():
-            rec.passed = False
-            rec.counterexample = f"(f={f}, g={g}) -> {r2}"
-            break
-    return [rec]
+            return f"(f={f}, g={g}) -> {r2}"
+
+    rec = IdentityRecord("shared-root-hyperresultant-vanish", trials, True)
+    return [_for_all(rec, trials, shared_root)]
 
 
 def suite_prop41(rng, trials, bound):
@@ -299,14 +269,14 @@ def suite_prop41(rng, trials, bound):
     for _ in range(trials):
         def draw():
             f = _random_form(rng, 4, bound)
-            disc = _scalar(binary_form_disc(f))
-            hank = _scalar(hankel_quartic(f))
-            apol = _scalar(apolar_quartic(f))
+            disc = binary_form_disc(f).as_scalar()
+            hank = hankel_quartic(f).as_scalar()
+            apol = apolar_quartic(f).as_scalar()
             return (f, disc, hank, apol) if disc and hank and apol else None
         f, disc, hank, apol = _reject_degenerate(draw, "generic quartic")
         f111 = hyperhessian(f, (1, 1, 1), XY)
-        k1 = _scalar(binary_form_disc(f111, XY, degree=4)) / (disc * hank ** 6)
-        k2 = _scalar(sylvester_resultant(f, f111)) / (disc ** 2 * apol ** 4)
+        k1 = binary_form_disc(f111, XY, degree=4).as_scalar() / (disc * hank ** 6)
+        k2 = sylvester_resultant(f, f111).as_scalar() / (disc ** 2 * apol ** 4)
         for rec, pin, k in ((rec1, pin1, k1), (rec2, pin2, k2)):
             if not rec.passed:
                 continue
@@ -352,10 +322,7 @@ def suite_skew(rng, trials, bound):
     for _ in range(trials):
         t = _random_tensor(rng, shape, bound)
         parts = [project_k(t, k) for k in range(6)]
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        if complete.passed and total != t:
+        if complete.passed and sum(parts[1:], parts[0]) != t:
             complete.passed = False
             complete.counterexample = f"sum of projections differs on {t.to_json()}"
         for k in range(6):
@@ -378,89 +345,80 @@ def suite_skew(rng, trials, bound):
 
 
 def suite_glscale(rng, trials, bound):
-    triple = IdentityRecord("triple-slot-action-scaling", trials, True)
-    gram = IdentityRecord("gramm-base-scaling", trials, True)
-    for _ in range(trials):
+    def triple_slot():
         a = _random_tensor(rng, (2, 2, 2), bound)
-        g = _random_matrix(rng, 2, bound)
+        g, det = _random_matrix(rng, 2, bound)
         acted = a.apply_gl(0, g).apply_gl(1, g).apply_gl(2, g)
-        if hyperdet(acted) != _det_scalar(g) ** 6 * hyperdet(a):
-            triple.passed = False
-            triple.counterexample = f"tensor {a.to_json()}, g={g}"
-            break
-    for _ in range(trials):
+        if hyperdet(acted) != det ** 6 * hyperdet(a):
+            return f"tensor {a.to_json()}, g={g}"
+
+    def gramm_base():
         form = _random_tensor(rng, (3, 3), bound)
         vecs = [[Fraction(rng.randint(-bound, bound)) for _ in range(3)] for _ in range(3)]
-        g = _random_matrix(rng, 3, bound)
+        g, det = _random_matrix(rng, 3, bound)
         mixed = [[sum(g[i][j] * vecs[j][c] for j in range(3)) for c in range(3)]
                  for i in range(3)]
         base = gramm_form(form, vecs).base
         mixed_base = gramm_form(form, mixed).base
-        if mixed_base != _det_scalar(g) ** 2 * base:
-            gram.passed = False
-            gram.counterexample = f"form {form.to_json()}, g={g}"
-            break
-    return [triple, gram]
+        if mixed_base != det ** 2 * base:
+            return f"form {form.to_json()}, g={g}"
+
+    return [_for_all(IdentityRecord("triple-slot-action-scaling", trials, True),
+                     trials, triple_slot),
+            _for_all(IdentityRecord("gramm-base-scaling", trials, True), trials, gramm_base)]
 
 
 def suite_dependent(rng, trials, bound):
-    d2 = IdentityRecord("bilinear-dependent-tuple-vanish", 3 * trials, True)
-    d3 = IdentityRecord("trilinear-dependent-pair-vanish", trials, True)
-    for m in (2, 3, 4):
-        for _ in range(trials):
-            dim = m
-            form = _random_tensor(rng, (dim, dim), bound)
-            vecs = [[Fraction(rng.randint(-bound, bound)) for _ in range(dim)]
-                    for _ in range(m - 1)]
-            weights = [Fraction(rng.randint(-bound, bound)) for _ in range(m - 1)]
-            dep = [sum(w * v[c] for w, v in zip(weights, vecs)) for c in range(dim)]
-            where = rng.randrange(m)
-            tup = vecs[:where] + [dep] + vecs[where:]
-            base = gramm_form(form, tup).base
-            if not base.is_zero():
-                d2.passed = False
-                d2.counterexample = f"m={m}, form {form.to_json()}, tuple {tup}"
-                break
-        if not d2.passed:
-            break
-    for _ in range(trials):
+    def dependent_tuple(m):
+        form = _random_tensor(rng, (m, m), bound)
+        vecs = [[Fraction(rng.randint(-bound, bound)) for _ in range(m)]
+                for _ in range(m - 1)]
+        weights = [Fraction(rng.randint(-bound, bound)) for _ in range(m - 1)]
+        dep = [sum(w * v[c] for w, v in zip(weights, vecs)) for c in range(m)]
+        where = rng.randrange(m)
+        tup = vecs[:where] + [dep] + vecs[where:]
+        if not gramm_form(form, tup).base.is_zero():
+            return f"m={m}, form {form.to_json()}, tuple {tup}"
+
+    def proportional_pair():
         form = _random_tensor(rng, (2, 2, 2), bound)
         u = [Fraction(rng.randint(-bound, bound)) for _ in range(2)]
         lam = Fraction(rng.randint(-bound, bound))
-        base = gramm_form(form, [u, [lam * c for c in u]]).base
-        if not base.is_zero():
-            d3.passed = False
-            d3.counterexample = f"form {form.to_json()}, u={u}, lambda={lam}"
+        if not gramm_form(form, [u, [lam * c for c in u]]).base.is_zero():
+            return f"form {form.to_json()}, u={u}, lambda={lam}"
+
+    d2 = IdentityRecord("bilinear-dependent-tuple-vanish", 3 * trials, True)
+    for m in (2, 3, 4):
+        if not _for_all(d2, trials, lambda: dependent_tuple(m)).passed:
             break
-    return [d2, d3]
+    d3 = IdentityRecord("trilinear-dependent-pair-vanish", trials, True)
+    return [d2, _for_all(d3, trials, proportional_pair)]
 
 
 def suite_oracle(rng, trials, bound):
-    closed = IdentityRecord("schlaefli-vs-closed-form", trials, True)
-    axes = IdentityRecord("axis-permutation-2x2x3", trials, True)
-    for _ in range(trials):
+    def closed_form():
         t = _random_tensor(rng, (2, 2, 2), bound)
         if hyperdet(t) != cayley_hyperdet_222(t):
-            closed.passed = False
-            closed.counterexample = t.to_json()
-            break
-    for _ in range(trials):
+            return t.to_json()
+
+    def axis_order():
         t = _random_tensor(rng, (2, 2, 3), bound)
         h = hyperdet(t)
         if (hyperdet(t.transpose((0, 2, 1))) != h
                 or hyperdet(t.transpose((2, 0, 1))) != h):
-            axes.passed = False
-            axes.counterexample = t.to_json()
-            break
-    return [closed, axes]
+            return t.to_json()
+
+    return [_for_all(IdentityRecord("schlaefli-vs-closed-form", trials, True),
+                     trials, closed_form),
+            _for_all(IdentityRecord("axis-permutation-2x2x3", trials, True),
+                     trials, axis_order)]
 
 
 _PARSER_VAR_POOL = ("x", "y", "z", "a", "b", "c")
 
 
 def suite_parser(rng, trials, bound):
-    rec = IdentityRecord("print-parse-roundtrip", trials, True)
-    for _ in range(trials):
+    def roundtrip():
         nvars = rng.randint(1, 3)
         variables = tuple(rng.sample(_PARSER_VAR_POOL, nvars))
         terms = {}
@@ -475,10 +433,10 @@ def suite_parser(rng, trials, bound):
         text = str(p)
         back = parse_poly(text, variables)
         if back != p or str(back) != text:
-            rec.passed = False
-            rec.counterexample = text
-            break
-    return [rec]
+            return text
+
+    rec = IdentityRecord("print-parse-roundtrip", trials, True)
+    return [_for_all(rec, trials, roundtrip)]
 
 
 SUITES = {

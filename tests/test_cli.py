@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hyperforms.cli import run_command
 from hyperforms.tensor import Tensor
 
@@ -190,3 +192,46 @@ def test_malformed_tensor_json_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "hyperdet", "--tensor", str(path))
     assert code == 2
     assert "lacks keys" in err
+
+
+@pytest.mark.parametrize("data, complaint", [
+    ({"shape": [2, 2], "vars": [], "entries": [1, 2, 3, 4]}, "'entries'"),
+    ({"shape": [2, 2], "vars": "xy", "entries": ["x", "y", "0", "1"]}, "'vars'"),
+    ({"shape": [2.0, 2], "vars": [], "entries": ["1", "0", "0", "1"]}, "'shape'"),
+    (5, "object"),
+])
+def test_mistyped_tensor_json_exit_2(capsys, tmp_path, data, complaint):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hyperdet", "--tensor", str(path))
+    assert (code, out) == (2, "")
+    assert complaint in err and len(err.splitlines()) == 1
+
+
+def test_tensor_path_is_directory_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "hyperdet", "--tensor", str(tmp_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1
+
+
+def test_gramm_zero_denominator_exit_2(capsys, tmp_path):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(
+        {"shape": [2, 2], "vars": [], "entries": ["1", "0", "0", "1"]}))
+    code, _, err = run(capsys, "gramm", "--form", str(path), "--vectors", "1/0,1;0,1")
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_duplicate_variable_names_exit_2(capsys):
+    code, out, err = run(capsys, "polarize", "--f", "x^2+y^2", "--vars", "x,y",
+                         "--coeffs", "x", "--K", "1,1")
+    assert (code, out) == (2, "")
+    assert "duplicate" in err
+
+
+def test_deep_nesting_exit_2(capsys):
+    code, _, err = run(capsys, "disc", "--f", "(" * 3000 + "x^2" + ")" * 3000,
+                       "--vars", "x,y")
+    assert code == 2
+    assert "nested deeper" in err

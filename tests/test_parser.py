@@ -88,6 +88,19 @@ def test_zeta_variable_name_reserved():
         parse_poly("zeta6", ("zeta6",))
 
 
+def test_duplicate_variable_names_rejected():
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_poly("x^2 + y^2", ("x", "x", "y"))
+
+
+def test_nesting_depth_is_bounded():
+    assert parse_poly("(" * 50 + "x - y" + ")" * 50, XY) == parse_poly("x - y", XY)
+    assert parse_poly("-" * 50 + "x", XY) == parse_poly("x", XY)
+    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_poly(text, XY)
+
+
 def test_trailing_tokens_rejected():
     with pytest.raises(ParseError):
         parse_poly("x + y y", XY)

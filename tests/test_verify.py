@@ -1,8 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+import hyperforms.verify
 from hyperforms.errors import DomainError
 from hyperforms.verify import (
     SUITES,
@@ -65,8 +67,37 @@ def test_report_json_shape():
 
 
 def test_all_suites_pass_at_small_trial_counts():
-    for report in run_all(seed=11, trials=3):
+    reports = run_all(seed=11, trials=3)
+    for report in reports:
         assert report.passed, report.format_text()
+    # the exact report bytes are part of the contract, witnesses included
+    text = json.dumps([r.to_json_dict() for r in reports])
+    assert len(text) == 3510
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "393202776b8f3c7eb5a677f87e7d890ba7481d7559418ade0fd073efb403aba3")
+
+
+def test_failing_identity_reports_its_witnesses(monkeypatch):
+    real = hyperforms.verify.hyperresultant
+    calls = []
+
+    def off_on_second_call(forms, geo):
+        calls.append(None)
+        value = real(forms, geo)
+        return value + 1 if len(calls) == 2 else value
+
+    monkeypatch.setattr(hyperforms.verify, "hyperresultant", off_on_second_call)
+    ratio = run_suite("prop21", seed=1, trials=3).identities[0]
+    assert (ratio.passed, ratio.constant) == (False, None)
+    assert ratio.counterexample == (
+        "(f1=-5*x^2 + 9*x*y - 7*y^2, f2=-x^2 - 6*x*y + 6*y^2) -> 16; "
+        "(f1=5*x^2 + 6*x*y + 3*y^2, f2=-3*x^2 - 6*x*y + 6*y^2) -> 34705/2169")
+    calls.clear()
+    vanish = run_suite("prop24", seed=1, trials=3).identities[0]
+    assert not vanish.passed
+    assert vanish.counterexample == (
+        "(f=-18*x^3 + 36*x^2*y - 45*x*y^2 + 27*y^3, "
+        "g=9*x^3 + 3*x^2*y - 39*x*y^2 + 27*y^3) -> 1")
 
 
 def test_suite_registry_matches_cli_contract():
