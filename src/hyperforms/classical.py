@@ -4,7 +4,7 @@ invariants, and the three-form Wronskian."""
 from __future__ import annotations
 
 from .errors import DomainError
-from .hyperdet import _sylvester_rows, det_rows, det_square
+from .hyperdet import _MAX_DEGREE, _sylvester_rows, det_rows, det_square
 from .poly import MultiPoly
 from .tensor import Tensor
 
@@ -23,6 +23,8 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
     n = g.homogeneous_degree_in(xy)
     if m < 1 or n < 1:
         raise DomainError(f"resultant needs degrees >= 1, got {m} and {n}")
+    if max(m, n) > _MAX_DEGREE:
+        raise DomainError(f"resultant limited to degree {_MAX_DEGREE}, got {m} and {n}")
     avec = f.binary_coefficients(xy, m)
     bvec = g.binary_coefficients(xy, n)
     return det_rows(_sylvester_rows(avec, bvec, m, n))

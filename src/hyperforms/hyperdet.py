@@ -7,6 +7,10 @@ fresh auxiliary variables, take the hyperdeterminant of the resulting pencil
 (a determinant, or again a Schlaefli step), then take the discriminant of
 that form in the auxiliary variables.  A hardcoded degree-4 expansion for
 2x2x2 serves as an independent cross-check of the recursion.
+
+Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
+the coefficients; higher degrees, up to 32, use the Sylvester resultant of
+the two partial derivatives, which also backs up the closed forms in tests.
 """
 
 from __future__ import annotations
@@ -120,6 +124,11 @@ def det_square(t: Tensor) -> MultiPoly:
 # -- binary and ternary discriminants -----------------------------------------
 
 
+# Sylvester matrices grow with the square of the degree and their entries with
+# the coefficients; refuse forms beyond this degree before building one.
+_MAX_DEGREE = 32
+
+
 def _sylvester_rows(avec, bvec, m: int, n: int):
     """Sylvester matrix rows for coefficient vectors of degrees m and n."""
     size = m + n
@@ -132,28 +141,58 @@ def _sylvester_rows(avec, bvec, m: int, n: int):
     return rows
 
 
+def _sylvester_disc(f: MultiPoly, xy, d: int) -> MultiPoly:
+    """(-1)^(d(d-1)/2) * Res(df/dx, df/dy) / d^(d-2) for a binary form ``f``
+    of formal degree ``d`` whose variables include ``xy``.
+
+    The route for d > 4, and the independent oracle for the closed forms.
+    """
+    x, y = xy
+    avec = f.partial(x).binary_coefficients(xy, d - 1)
+    bvec = f.partial(y).binary_coefficients(xy, d - 1)
+    res = det_rows(_sylvester_rows(avec, bvec, d - 1, d - 1))
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return (res * sign) / Fraction(d) ** (d - 2)
+
+
+def _closed_form_disc(cs) -> MultiPoly:
+    """Discriminant from the coefficient list [c0, ..., cd] of a form of degree 2, 3 or 4."""
+    if len(cs) == 3:
+        a, b, c = cs
+        return b * b - 4 * (a * c)
+    if len(cs) == 4:
+        a, b, c, d = cs
+        bc, ad = b * c, a * d
+        return bc * (bc + 18 * ad) - 27 * (ad * ad) - 4 * (a * c * c * c + d * b * b * b)
+    a, b, c, d, e = cs
+    inv_i = 12 * (a * e) - 3 * (b * d) + c * c
+    inv_j = c * (72 * (a * e) + 9 * (b * d) - 2 * (c * c)) - 27 * (a * d * d + e * b * b)
+    return (4 * inv_i ** 3 - inv_j * inv_j) / 27
+
+
 def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> MultiPoly:
     """Discriminant of a binary form of degree d:
     (-1)^(d(d-1)/2) * Res(df/dx, df/dy) / d^(d-2).
 
-    Coefficients of ``f`` may involve further variables.  ``degree`` fixes the
-    formal degree when leading coefficients may have specialised to zero.
+    Degrees 2-4 use the classical closed forms in the coefficients
+    c0*x^d + c1*x^(d-1)*y + ...: b^2 - 4ac, the cubic discriminant, and
+    (4I^3 - J^2)/27 with the quartic invariants I and J (Salmon).  Degrees 5
+    to 32 take the Sylvester resultant; higher degrees are refused.
+    Coefficients of ``f`` may involve further variables.  ``degree`` fixes
+    the formal degree when leading coefficients may have specialised to zero.
     """
-    x, y = xy
     f = f.extend_vars(xy)
     observed = f.homogeneous_degree_in(xy)
     d = observed if degree is None else degree
     if d < 2:
         raise DomainError(f"discriminant needs degree >= 2, got {d}")
+    if d > _MAX_DEGREE:
+        raise DomainError(f"discriminant limited to degree {_MAX_DEGREE}, got {d}")
     if observed > d:
         raise DomainError(f"form has degree {observed} > declared {d}")
-    fx = f.partial(x)
-    fy = f.partial(y)
-    avec = fx.binary_coefficients(xy, d - 1)
-    bvec = fy.binary_coefficients(xy, d - 1)
-    res = det_rows(_sylvester_rows(avec, bvec, d - 1, d - 1))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return (res * sign) / Fraction(d) ** (d - 2)
+    if d > 4:
+        return _sylvester_disc(f, xy, d)
+    return _closed_form_disc(f.binary_coefficients(xy, d))
 
 
 def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:

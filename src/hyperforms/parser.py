@@ -1,10 +1,11 @@
 """Recursive-descent parser for polynomial expressions.
 
 Grammar: integers and rationals (``3``, ``-1/2``), declared variable names,
-``+ - * ^ ( )`` with explicit ``*`` and non-negative integer exponents.
+``+ - * ^ ( )`` with explicit ``*`` and non-negative integer exponents; a
+power may have exponent and degree at most 64.
 ``zeta<m>`` is a reserved identifier denoting a primitive m-th root of
-unity, so cyclotomic renderings round-trip.  Printing a polynomial and
-parsing it back is the identity.
+unity, so cyclotomic renderings round-trip.  Printing a polynomial within
+these limits and parsing it back is the identity.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ _ZETA = re.compile(r"zeta([1-9][0-9]*)$")
 # Parentheses and unary minus recurse; refuse deep nesting before Python's
 # own recursion limit turns it into a crash.
 _MAX_DEPTH = 100
+# Powers are expanded eagerly; refuse large exponents and high-degree powers
+# before the expansion can run for minutes.
+_MAX_EXPONENT = 64
 
 
 def _tokenize(text: str):
@@ -113,7 +117,11 @@ class _Parser:
             if kind != "number" or "/" in text:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.take()
-            return p ** int(text)
+            n = int(text)
+            if n > _MAX_EXPONENT or n * p.total_degree() > _MAX_EXPONENT:
+                raise ParseError(f"power exceeds the exponent and degree limit {_MAX_EXPONENT}",
+                                 pos)
+            return p ** n
         return p
 
     def atom(self) -> MultiPoly:

@@ -92,6 +92,13 @@ def test_resultant_zero_input_rejected():
         sylvester_resultant(MultiPoly.zero(XY), P("x"))
 
 
+def test_resultant_degree_is_bounded():
+    for f, g in (("x^33 + y^33", "x - y"), ("x - y", "x^33 + y^33")):
+        with pytest.raises(DomainError, match="limited to degree 32"):
+            sylvester_resultant(P(f), P(g))
+    assert sylvester_resultant(P("x^32 - y^32"), P("x")) == -1
+
+
 # -- quartic invariants -------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,24 @@ def test_unsupported_format_exit_4(capsys, tmp_path):
     code, _, err = run(capsys, "hyperdet", "--tensor", str(path))
     assert code == 4
     assert "unsupported" in err
+
+
+def test_huge_exponent_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "disc", "--f", "(x+y)^2000", "--vars", "x,y")
+    assert time.perf_counter() - start < 5  # expanding the power would take minutes
+    assert (code, out) == (2, "")
+    assert "limit 64" in err
+
+
+def test_form_degree_above_limit_exit_3(capsys):
+    code, out, err = run(capsys, "disc", "--f", "x^40 + x*y^39 - y^40", "--vars", "x,y")
+    assert (code, out) == (3, "")
+    assert "limited to degree 32" in err
+    code, out, err = run(capsys, "resultant", "--f", "x^40 + y^40", "--g", "x - y",
+                         "--vars", "x,y")
+    assert (code, out) == (3, "")
+    assert "limited to degree 32" in err
 
 
 def test_parse_error_exit_2(capsys):

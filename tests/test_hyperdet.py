@@ -6,6 +6,7 @@ import pytest
 from hyperforms.errors import DomainError, UnsupportedFormatError
 from hyperforms.hyperdet import (
     Format,
+    _sylvester_disc,
     binary_form_disc,
     cayley_hyperdet_222,
     classify_format,
@@ -15,6 +16,7 @@ from hyperforms.hyperdet import (
 )
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
+from hyperforms.scalars import zeta
 from hyperforms.tensor import Tensor
 
 XY = ("x", "y")
@@ -151,8 +153,8 @@ def test_disc_random_repeated_roots_vanish():
 
 
 def test_quartic_disc_matches_invariant_closed_form():
-    # independent oracle: disc = (4 I^3 - J^2) / 27 with the classical
-    # degree-2 and degree-3 invariants in plain coefficients
+    # the Sylvester route against disc = (4 I^3 - J^2) / 27, with the
+    # classical degree-2 and degree-3 invariants written out by hand
     rng = random.Random(47)
     for _ in range(15):
         a, b, c, d, e = (Fraction(rng.randint(-9, 9)) for _ in range(5))
@@ -162,7 +164,65 @@ def test_quartic_disc_matches_invariant_closed_form():
         inv2 = 12 * a * e - 3 * b * d + c * c
         inv3 = (72 * a * c * e + 9 * b * c * d
                 - 27 * a * d * d - 27 * e * b * b - 2 * c ** 3)
-        assert binary_form_disc(f).as_scalar() == (4 * inv2 ** 3 - inv3 ** 2) / 27
+        assert _sylvester_disc(f, XY, 4).as_scalar() == (4 * inv2 ** 3 - inv3 ** 2) / 27
+
+
+def _random_binary_form(degree, coeff):
+    return MultiPoly(XY, {(degree - i, i): coeff() for i in range(degree + 1)})
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_closed_form_disc_matches_sylvester_oracle(degree):
+    # 100 numeric forms per degree: integer, rational and Q(zeta6) coefficients,
+    # then forms passed with the formal degree declared: leading coefficients
+    # specialised to zero, the zero form, and forms of lower degree
+    rng = random.Random(100 + degree)
+    z = zeta(6)
+
+    def integer():
+        return rng.randint(-9, 9)
+
+    coeffs = ([integer] * 35
+              + [lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))] * 35
+              + [lambda: rng.randint(-3, 3) + rng.randint(-3, 3) * z] * 20)
+    forms = [_random_binary_form(degree, c) for c in coeffs]
+    for zeros in (1, 1, 1, 2, 2, 2, degree, degree + 1):
+        cs = [0] * zeros + [integer() for _ in range(degree + 1 - zeros)]
+        forms.append(MultiPoly(XY, {(degree - i, i): c for i, c in enumerate(cs)}))
+    forms += [_random_binary_form(degree - 1, integer) for _ in range(2)]
+    assert len(forms) == 100
+    assert any(any(not isinstance(c, Fraction) for c in f.terms.values()) for f in forms)
+    for f in forms:
+        assert binary_form_disc(f, XY, degree=degree) == _sylvester_disc(f, XY, degree), str(f)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_closed_form_disc_matches_sylvester_oracle_symbolic(degree):
+    names = tuple(f"c{i}" for i in range(degree + 1))
+    monomials = [f"x^{degree - i}*y^{i}" for i in range(degree + 1)]
+    generic = " + ".join(f"{c}*{m}" for c, m in zip(names, monomials))
+    # the generic form of one degree lower, declared at this degree
+    lower = " + ".join(f"{c}*x^{degree - 1 - i}*y^{i}" for i, c in enumerate(names[:-1]))
+    rng = random.Random(200 + degree)
+    mixed = [" + ".join(
+        f"({rng.randint(-4, 4)}*s + {rng.randint(-4, 4)}/3*t + {rng.randint(-4, 4)})*{m}"
+        for m in monomials) for _ in range(5)]
+    st = ("s", "t") + XY
+    forms = [parse_poly(generic, names + XY), parse_poly(generic, XY + names),
+             parse_poly(lower, names + XY),
+             parse_poly(f"zeta6*s*x^{degree} - t*x*y^{degree - 1} + y^{degree}", st)]
+    forms += [parse_poly(text, st) for text in mixed]
+    for f in forms:
+        assert binary_form_disc(f, XY, degree=degree) == _sylvester_disc(f, XY, degree), str(f)
+
+
+def test_disc_degree_is_bounded():
+    with pytest.raises(DomainError, match="limited to degree 32"):
+        binary_form_disc(P("x^33 + y^33"))
+    with pytest.raises(DomainError, match="limited to degree 32"):
+        binary_form_disc(P("x^2 + y^2"), XY, degree=33)
+    # disc(x^n + a) = (-1)^(n(n-1)/2) * n^n * a^(n-1), here n = 32, a = -1
+    assert binary_form_disc(P("x^32 - y^32")) == -(32 ** 32)
 
 
 def test_disc_degree_in_coefficients():

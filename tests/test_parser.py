@@ -101,6 +101,17 @@ def test_nesting_depth_is_bounded():
             parse_poly(text, XY)
 
 
+def test_powers_are_bounded():
+    assert parse_poly("x^64", XY) == MultiPoly(XY, {(64, 0): 1})
+    assert parse_poly("(x^2*y^2)^16", XY) == MultiPoly(XY, {(32, 32): 1})
+    assert parse_poly("2^64", XY) == 2 ** 64
+    for text, pos in (("(x+y)^2000", 6), ("x^65", 2), ("2^65", 2),
+                      ("(x^2)^33", 6), ("((x+y)^64)^64", 11)):
+        with pytest.raises(ParseError, match="limit 64") as err:
+            parse_poly(text, XY)
+        assert err.value.position == pos
+
+
 def test_trailing_tokens_rejected():
     with pytest.raises(ParseError):
         parse_poly("x + y y", XY)

@@ -1,0 +1,91 @@
+"""Cross-checks against sympy as an independent oracle.
+
+sympy is used by these tests only and is not a dependency of the package;
+the module is skipped when it is not installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from hyperforms.classical import sylvester_resultant  # noqa: E402
+from hyperforms.hyperdet import binary_form_disc, det_rows  # noqa: E402
+from hyperforms.parser import parse_poly  # noqa: E402
+from hyperforms.poly import MultiPoly  # noqa: E402
+
+XY = ("x", "y")
+X = sympy.Symbol("x")
+
+
+def _random_coeffs(rng, degree):
+    # a nonzero leading coefficient keeps the dehomogenised polynomial at full degree
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(degree + 1)]
+    cs[0] = cs[0] or Fraction(1)
+    return cs
+
+
+def _form(cs):
+    d = len(cs) - 1
+    return MultiPoly(XY, {(d - i, i): c for i, c in enumerate(cs)})
+
+
+def _sympy_poly(cs):
+    d = len(cs) - 1
+    return sum(sympy.Rational(c.numerator, c.denominator) * X ** (d - i)
+               for i, c in enumerate(cs))
+
+
+def _as_fraction(value):
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_disc_matches_sympy_discriminant(degree):
+    rng = random.Random(300 + degree)
+    for _ in range(20):
+        cs = _random_coeffs(rng, degree)
+        want = sympy.discriminant(_sympy_poly(cs), X)
+        assert binary_form_disc(_form(cs)).as_scalar() == _as_fraction(want), cs
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_generic_disc_matches_sympy_discriminant(degree):
+    names = [f"c{i}" for i in range(degree + 1)]
+    text = " + ".join(f"{c}*x^{degree - i}*y^{i}" for i, c in enumerate(names))
+    got = binary_form_disc(parse_poly(text, tuple(names) + XY))
+    symbols = sympy.symbols(names)
+    generic = sum(s * X ** (degree - i) for i, s in enumerate(symbols))
+    want = sympy.expand(sympy.discriminant(generic, X))
+    local = dict(zip(names, symbols))
+    assert sympy.expand(sympy.sympify(str(got), locals=local) - want) == 0
+
+
+def test_resultant_matches_sympy_resultant():
+    rng = random.Random(401)
+    for _ in range(30):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _random_coeffs(rng, m), _random_coeffs(rng, n)
+        # sympy 1.14 flips the sign when the first polynomial has the lower
+        # degree and mn is odd (resultant(x, x^3 + 1) is -1, the Sylvester
+        # determinant 1), so pass the higher degree first and use
+        # Res(f, g) = (-1)^(mn) Res(g, f)
+        if m >= n:
+            want = sympy.resultant(_sympy_poly(a), _sympy_poly(b), X)
+        else:
+            want = (-1) ** (m * n) * sympy.resultant(_sympy_poly(b), _sympy_poly(a), X)
+        assert sylvester_resultant(_form(a), _form(b)).as_scalar() == _as_fraction(want), (a, b)
+
+
+def test_det_rows_matches_sympy_det():
+    rng = random.Random(402)
+    for n in (4, 5, 6):
+        vals = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        got = det_rows([[MultiPoly.constant(v) for v in row] for row in vals])
+        want = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                             for row in vals]).det()
+        assert got.as_scalar() == _as_fraction(want)

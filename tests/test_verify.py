@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import hyperforms.verify
+from hyperforms.cli import run_command
 from hyperforms.errors import DomainError
 from hyperforms.verify import (
     SUITES,
@@ -98,6 +99,34 @@ def test_failing_identity_reports_its_witnesses(monkeypatch):
     assert vanish.counterexample == (
         "(f=-18*x^3 + 36*x^2*y - 45*x*y^2 + 27*y^3, "
         "g=9*x^3 + 3*x^2*y - 39*x*y^2 + 27*y^3) -> 1")
+
+
+def test_north_star_report_bytes_are_pinned(capsys):
+    assert run_command(["verify", "--suite", "all", "--seed", "7", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 3583
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8190c2e544ae17a0ac679d49af2cf98e72efc01c2228c9d59a0ce2ca237f5e84")
+
+
+def test_skew_reports_the_first_orthogonality_counterexample(monkeypatch):
+    real = hyperforms.verify.project_k
+    drawn, projected = [], {}  # projected keeps its tensors alive, so ids stay unique
+
+    def wrong_on_projections(t, k):
+        if id(t) in projected:
+            return t  # p_k o p_j = p_j: wrong whenever k != j and p_j != 0
+        if k == 0:
+            drawn.append(t)
+        part = real(t, k)
+        projected[id(part)] = part
+        return part
+
+    monkeypatch.setattr(hyperforms.verify, "project_k", wrong_on_projections)
+    complete, ortho, _ = run_suite("skew", seed=1, trials=3).identities
+    assert complete.passed and not ortho.passed
+    assert len(drawn) == 3
+    assert ortho.counterexample == f"p_0 o p_1 misbehaves on {drawn[0].to_json()}"
 
 
 def test_suite_registry_matches_cli_contract():
