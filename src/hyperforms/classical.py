@@ -4,7 +4,7 @@ invariants, and the three-form Wronskian."""
 from __future__ import annotations
 
 from .errors import DomainError
-from .hyperdet import _MAX_DEGREE, _sylvester_rows, det_rows, det_square
+from .hyperdet import _bounded_degree, _sylvester_rows, det_rows, det_square
 from .poly import MultiPoly
 from .tensor import Tensor
 
@@ -15,32 +15,17 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
     Vanishes exactly when the forms share a projective root; bihomogeneous
     of degree (deg g, deg f) in the coefficients.
     """
-    f = f.extend_vars(xy)
-    g = g.extend_vars(xy)
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant of the zero polynomial is undefined")
-    m = f.homogeneous_degree_in(xy)
-    n = g.homogeneous_degree_in(xy)
-    if m < 1 or n < 1:
-        raise DomainError(f"resultant needs degrees >= 1, got {m} and {n}")
-    if max(m, n) > _MAX_DEGREE:
-        raise DomainError(f"resultant limited to degree {_MAX_DEGREE}, got {m} and {n}")
-    avec = f.binary_coefficients(xy, m)
-    bvec = g.binary_coefficients(xy, n)
+    avec, bvec = f.binary_coefficients(xy), g.binary_coefficients(xy)
+    m = _bounded_degree("resultant", len(avec) - 1, 1)
+    n = _bounded_degree("resultant", len(bvec) - 1, 1)
     return det_rows(_sylvester_rows(avec, bvec, m, n))
-
-
-def _quartic_coefficients(f: MultiPoly, xy) -> list[MultiPoly]:
-    f = f.extend_vars(xy)
-    if f.homogeneous_degree_in(xy) not in (4, -1):  # zero form is a degenerate quartic
-        raise DomainError(
-            f"expected a binary quartic, got degree {f.homogeneous_degree_in(xy)}")
-    return f.binary_coefficients(xy, 4)
 
 
 def hankel_matrix(f: MultiPoly, xy=("x", "y")) -> Tensor:
     """The 3x3 catalecticant matrix of fourth partials of a binary quartic."""
-    c0, c1, c2, c3, c4 = _quartic_coefficients(f, xy)
+    c0, c1, c2, c3, c4 = f.binary_coefficients(xy, 4)
     rows = [
         [24 * c0, 6 * c1, 4 * c2],
         [6 * c1, 4 * c2, 6 * c3],
@@ -60,7 +45,7 @@ def apolar_quartic(f: MultiPoly, xy=("x", "y")) -> MultiPoly:
     The middle sign is forced: only this sign is a relative GL2 invariant
     (it is 12 times the classical I invariant in plain coefficients).
     """
-    c0, c1, c2, c3, c4 = _quartic_coefficients(f, xy)
+    c0, c1, c2, c3, c4 = f.binary_coefficients(xy, 4)
     return c2 * c2 - 3 * (c1 * c3) + 12 * (c0 * c4)
 
 

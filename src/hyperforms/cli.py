@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("disc", _cmd_disc, "discriminant of a binary form")
     form_args(p)
-    p.add_argument("--degree", type=int, help="formal degree override")
+    p.add_argument("--degree", type=int, help="degree of f; must match it, only f = 0 needs it")
 
     p = add("resultant", _cmd_resultant, "Sylvester resultant of two binary forms")
     form_args(p)

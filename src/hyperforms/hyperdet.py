@@ -170,6 +170,13 @@ def _closed_form_disc(cs) -> MultiPoly:
     return (4 * inv_i ** 3 - inv_j * inv_j) / 27
 
 
+def _bounded_degree(what: str, d: int, least: int) -> int:
+    if not least <= d <= _MAX_DEGREE:
+        raise DomainError(
+            f"{what} needs degree >= {least}, limited to degree {_MAX_DEGREE}; got {d}")
+    return d
+
+
 def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> MultiPoly:
     """Discriminant of a binary form of degree d:
     (-1)^(d(d-1)/2) * Res(df/dx, df/dy) / d^(d-2).
@@ -178,21 +185,18 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
     c0*x^d + c1*x^(d-1)*y + ...: b^2 - 4ac, the cubic discriminant, and
     (4I^3 - J^2)/27 with the quartic invariants I and J (Salmon).  Degrees 5
     to 32 take the Sylvester resultant; higher degrees are refused.
-    Coefficients of ``f`` may involve further variables.  ``degree`` fixes
-    the formal degree when leading coefficients may have specialised to zero.
+    Coefficients of ``f`` may involve further variables.  The degree is that
+    of ``f`` in ``xy`` (``x^3*y`` is a quartic); ``degree``, when given, must
+    equal it, and only the zero form needs it.
     """
-    f = f.extend_vars(xy)
-    observed = f.homogeneous_degree_in(xy)
-    d = observed if degree is None else degree
-    if d < 2:
-        raise DomainError(f"discriminant needs degree >= 2, got {d}")
-    if d > _MAX_DEGREE:
-        raise DomainError(f"discriminant limited to degree {_MAX_DEGREE}, got {d}")
-    if observed > d:
-        raise DomainError(f"form has degree {observed} > declared {d}")
+    # bound a declared degree before a list of degree + 1 coefficients is built
+    if degree is not None:
+        _bounded_degree("discriminant", degree, 2)
+    cs = f.binary_coefficients(xy, degree)
+    d = _bounded_degree("discriminant", len(cs) - 1, 2)
     if d > 4:
-        return _sylvester_disc(f, xy, d)
-    return _closed_form_disc(f.binary_coefficients(xy, d))
+        return _sylvester_disc(f.extend_vars(xy), xy, d)
+    return _closed_form_disc(cs)
 
 
 def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:

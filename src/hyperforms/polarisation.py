@@ -10,11 +10,12 @@ are all thin layers over it.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import DomainError, UnsupportedFormatError
 from .hyperdet import hyperdet
 from .poly import MultiPoly
-from .tensor import MultiIndexSet, Tensor
+from .tensor import MultiIndexSet, Tensor, check_shape
 
 
 def _form_degree(f: MultiPoly, geo) -> int:
@@ -59,8 +60,9 @@ def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
     total = sum(key)
     if total > k:
         raise DomainError(f"key weight {total} exceeds form degree {k}")
+    # a slot of weight km has C(n + km - 1, km) multi-indices in n variables
+    shape = check_shape(math.comb(len(geo) + km - 1, km) for km in key)
     sets = [MultiIndexSet(len(geo), km) for km in key]
-    shape = tuple(len(s) for s in sets)
     derivs = _DerivativeCache(f, geo)
     entries = []
     for combo in itertools.product(*(s.indices for s in sets)):

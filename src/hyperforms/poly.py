@@ -358,37 +358,28 @@ class MultiPoly:
 
     # -- structure ---------------------------------------------------------------
 
-    def coefficients_in(self, names) -> dict:
-        """Group terms by their exponents in ``names``; values are polynomials
-        in the remaining variables."""
-        idx = [self.vars.index(v) for v in names]
-        keep = tuple(v for v in self.vars if v not in set(names))
-        kidx = [self.vars.index(v) for v in keep]
-        out: dict[tuple[int, ...], dict] = {}
-        for e, c in self.terms.items():
-            key = tuple(e[i] for i in idx)
-            rest = tuple(e[i] for i in kidx)
-            out.setdefault(key, {})[rest] = c
-        return {k: MultiPoly._raw(keep, t) for k, t in out.items()}
-
     def binary_coefficients(self, xy, degree: int | None = None) -> list:
-        """Coefficient list [c_0, ..., c_d] of a binary form, where term i
-        multiplies x^(d-i) * y^i.  ``degree`` overrides the observed degree
-        (needed when leading coefficients vanish on specialisation)."""
-        x, y = xy
-        d = self.homogeneous_degree_in(xy)
+        """Coefficient list [c_0, ..., c_d] of a binary form in ``xy``, where
+        c_i multiplies x^(d-i) * y^i and is a polynomial in the other variables.
+
+        A nonzero form must be homogeneous in ``xy``, of degree ``degree`` when
+        that is given; the zero form has no degree of its own and needs it.
+        """
+        f = self.extend_vars(xy)
+        d = f.homogeneous_degree_in(xy)
         if degree is None:
             if d < 0:
                 raise DomainError("zero polynomial needs an explicit degree")
             degree = d
-        elif d > degree:
-            raise DomainError(f"form has degree {d} > declared {degree}")
-        by_exp = self.coefficients_in(xy)
-        keep = tuple(v for v in self.vars if v not in (x, y))
-        coeffs = []
-        for i in range(degree + 1):
-            coeffs.append(by_exp.get((degree - i, i), MultiPoly.zero(keep)))
-        return coeffs
+        elif d not in (degree, -1):
+            raise DomainError(f"expected a binary form of degree {degree}, got degree {d}")
+        iy = f.vars.index(xy[1])
+        rest = [i for i, v in enumerate(f.vars) if v not in xy]
+        by_power = [{} for _ in range(degree + 1)]
+        for e, c in f.terms.items():
+            by_power[e[iy]][tuple(e[i] for i in rest)] = c
+        keep = tuple(f.vars[i] for i in rest)
+        return [MultiPoly._raw(keep, t) for t in by_power]
 
     # -- rendering ------------------------------------------------------------------
 

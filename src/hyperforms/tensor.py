@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 from .errors import DomainError
 from .poly import COEFF_TYPES, MultiPoly
+
+
+_MAX_ENTRIES = 8 ** 4  # every entry is stored, so bound the count before building any
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -22,6 +26,8 @@ def check_shape(shape) -> tuple[int, ...]:
         raise DomainError(f"shape dimensions must be positive: {s}")
     if any(n > 8 for n in s):
         raise DomainError(f"shape dimensions above 8 are out of scope: {s}")
+    if math.prod(s) > _MAX_ENTRIES:
+        raise DomainError(f"shapes above {_MAX_ENTRIES} entries are out of scope: {s}")
     return s
 
 
@@ -91,9 +97,7 @@ class Tensor:
 
     def __init__(self, shape, entries, variables=None):
         self.shape = check_shape(shape)
-        size = 1
-        for n in self.shape:
-            size *= n
+        size = math.prod(self.shape)
         items = list(entries)
         if len(items) != size:
             raise ValueError(f"expected {size} entries for shape {self.shape}, got {len(items)}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import starmap
 
 from .classical import apolar_quartic, hankel_quartic, sylvester_resultant, wronskian3
 from .errors import DomainError
@@ -106,23 +107,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-class _ConstantPin:
-    """Calibrates a ratio on the first trial, then asserts it on the rest."""
-
-    def __init__(self):
-        self.value: Fraction | None = None
-        self.witness: str | None = None
-
-    def check(self, value: Fraction, witness: str) -> str | None:
-        if self.value is None:
-            self.value = value
-            self.witness = witness
-            return None
-        if value != self.value:
-            return f"{self.witness} -> {self.value}; {witness} -> {value}"
-        return None
-
-
 def _reject_degenerate(draw, what: str):
     """Resample until ``draw`` returns a non-None instance, capped at 1000."""
     for _ in range(1000):
@@ -155,7 +139,8 @@ def _random_matrix(rng, n: int, bound: int):
 
 def _for_all(rec: IdentityRecord, trials: int, check) -> IdentityRecord:
     """Run ``check`` up to ``trials`` times; the first counterexample string
-    it returns fails ``rec`` and ends the loop."""
+    it returns fails ``rec`` and ends the loop.  Identities sharing draws take
+    them first, so each sees them in draw order and stops at its first failure."""
     for _ in range(trials):
         bad = check()
         if bad:
@@ -167,10 +152,19 @@ def _for_all(rec: IdentityRecord, trials: int, check) -> IdentityRecord:
 
 def _pin_ratio(rec: IdentityRecord, draw, ratio) -> IdentityRecord:
     """Check that ``ratio(*draw())``, a (value, witness) pair, has the same
-    value on each of ``rec.trials`` draws, and record that constant."""
-    pin = _ConstantPin()
-    _for_all(rec, rec.trials, lambda: pin.check(*ratio(*draw())))
-    rec.constant = pin.value if rec.passed else None
+    value on each of ``rec.trials`` draws, and record that constant: the first
+    draw calibrates it, and a mismatch fails ``rec`` with both witnesses."""
+    first = []
+
+    def check():
+        value, witness = ratio(*draw())
+        if not first:
+            first.append((value, witness))
+        elif value != first[0][0]:
+            return f"{first[0][1]} -> {first[0][0]}; {witness} -> {value}"
+
+    _for_all(rec, rec.trials, check)
+    rec.constant = first[0][0] if rec.passed and first else None
     return rec
 
 
@@ -263,36 +257,30 @@ def suite_prop24(rng, trials, bound):
 
 
 def suite_prop41(rng, trials, bound):
-    pin1, pin2 = _ConstantPin(), _ConstantPin()
-    rec1 = IdentityRecord("disc-of-iterated-hessian", trials, True, nominal="2^36*3^6")
-    rec2 = IdentityRecord("resultant-with-iterated-hessian", trials, True, nominal="2^24*3^12")
-    for _ in range(trials):
-        def draw():
-            f = _random_form(rng, 4, bound)
-            disc = binary_form_disc(f).as_scalar()
-            hank = hankel_quartic(f).as_scalar()
-            apol = apolar_quartic(f).as_scalar()
-            return (f, disc, hank, apol) if disc and hank and apol else None
-        f, disc, hank, apol = _reject_degenerate(draw, "generic quartic")
-        f111 = hyperhessian(f, (1, 1, 1), XY)
-        k1 = binary_form_disc(f111, XY, degree=4).as_scalar() / (disc * hank ** 6)
-        k2 = sylvester_resultant(f, f111).as_scalar() / (disc ** 2 * apol ** 4)
-        for rec, pin, k in ((rec1, pin1, k1), (rec2, pin2, k2)):
-            if not rec.passed:
-                continue
-            bad = pin.check(k, f"(f={f})")
-            if bad:
-                rec.passed = False
-                rec.counterexample = bad
-        if not (rec1.passed or rec2.passed):
-            break
-    for rec, pin in ((rec1, pin1), (rec2, pin2)):
-        if rec.passed:
-            rec.constant = pin.value
-            if not is_23_smooth(pin.value):
-                rec.passed = False
-                rec.counterexample = f"constant {pin.value} has prime factors beyond 2 and 3"
-    return [rec1, rec2]
+    def quartic():
+        f = _random_form(rng, 4, bound)
+        disc = binary_form_disc(f).as_scalar()
+        hank = hankel_quartic(f).as_scalar()
+        apol = apolar_quartic(f).as_scalar()
+        if disc and hank and apol:
+            return f, hyperhessian(f, (1, 1, 1), XY), disc, hank, apol
+
+    def disc_ratio(f, f111, disc, hank, apol):
+        return binary_form_disc(f111, XY, degree=4).as_scalar() / (disc * hank ** 6), f"(f={f})"
+
+    def resultant_ratio(f, f111, disc, hank, apol):
+        return sylvester_resultant(f, f111).as_scalar() / (disc ** 2 * apol ** 4), f"(f={f})"
+
+    draws = [_reject_degenerate(quartic, "generic quartic") for _ in range(trials)]
+    recs = [_pin_ratio(IdentityRecord(name, trials, True, nominal=nominal),
+                       iter(draws).__next__, ratio) for name, nominal, ratio in (
+        ("disc-of-iterated-hessian", "2^36*3^6", disc_ratio),
+        ("resultant-with-iterated-hessian", "2^24*3^12", resultant_ratio))]
+    for rec in recs:
+        if rec.constant is not None and not is_23_smooth(rec.constant):
+            rec.passed = False
+            rec.counterexample = f"constant {rec.constant} has prime factors beyond 2 and 3"
+    return recs
 
 
 def suite_hankel22(rng, trials, bound):
@@ -315,34 +303,30 @@ def suite_hankel22(rng, trials, bound):
 
 def suite_skew(rng, trials, bound):
     dims = (10, 1, 7, 1, 7, 1)
-    complete = IdentityRecord("skew-projection-completeness", trials, True)
-    ortho = IdentityRecord("skew-projector-orthogonality", trials, True)
-    ranks = IdentityRecord("skew-projector-ranks", 1, True)
     shape = (3, 3, 3)
-    for _ in range(trials):
-        t = _random_tensor(rng, shape, bound)
-        parts = [project_k(t, k) for k in range(6)]
-        if complete.passed and sum(parts[1:], parts[0]) != t:
-            complete.passed = False
-            complete.counterexample = f"sum of projections differs on {t.to_json()}"
-        if ortho.passed:
-            for k in range(6):
-                for j in range(6):
-                    double = project_k(parts[j], k)
-                    expect = parts[k] if k == j else Tensor.zeros(shape, t.vars)
-                    if double != expect:
-                        ortho.passed = False
-                        ortho.counterexample = f"p_{k} o p_{j} misbehaves on {t.to_json()}"
-                        break
-                if not ortho.passed:
-                    break
-        if not (complete.passed or ortho.passed):
-            break
-    traces = tuple(projector_trace(3, 3, k) for k in range(6))
-    if traces != tuple(Fraction(d) for d in dims):
-        ranks.passed = False
-        ranks.counterexample = f"traces {traces} != {dims}"
-    return [complete, ortho, ranks]
+
+    def complete(t, parts):
+        if sum(parts[1:], parts[0]) != t:
+            return f"sum of projections differs on {t.to_json()}"
+
+    def orthogonal(t, parts):
+        zero = Tensor.zeros(shape, t.vars)
+        for k in range(6):
+            for j in range(6):
+                if project_k(parts[j], k) != (parts[k] if k == j else zero):
+                    return f"p_{k} o p_{j} misbehaves on {t.to_json()}"
+
+    def ranks():
+        traces = tuple(projector_trace(3, 3, k) for k in range(6))
+        if traces != tuple(Fraction(d) for d in dims):
+            return f"traces {traces} != {dims}"
+
+    tensors = [_random_tensor(rng, shape, bound) for _ in range(trials)]
+    draws = [(t, [project_k(t, k) for k in range(6)]) for t in tensors]
+    return [_for_all(IdentityRecord(name, n, True), n, check) for name, n, check in (
+        ("skew-projection-completeness", trials, starmap(complete, draws).__next__),
+        ("skew-projector-orthogonality", trials, starmap(orthogonal, draws).__next__),
+        ("skew-projector-ranks", 1, ranks))]
 
 
 def suite_glscale(rng, trials, bound):

@@ -137,6 +137,13 @@ def test_apolar_wrong_degree():
         apolar_quartic(P("x^3"))
 
 
+def test_quartic_invariants_refuse_other_degrees():
+    for text in ("x^3 + y^3", "x*y^2", "x^5 - y^5"):
+        for invariant in (hankel_quartic, hankel_matrix, apolar_quartic):
+            with pytest.raises(DomainError, match="degree 4, got degree"):
+                invariant(P(text))
+
+
 def _gl_weight(invariant):
     """Symbolic oracle: the det(g) exponent of a relative invariant."""
     gv = ("a", "b", "c", "d")

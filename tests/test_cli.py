@@ -74,6 +74,31 @@ def test_form_degree_above_limit_exit_3(capsys):
     assert "limited to degree 32" in err
 
 
+def test_disc_declared_degree_must_match_the_form(capsys):
+    code, out, err = run(capsys, "disc", "--f", "x^3+y^3", "--vars", "x,y", "--degree", "4")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "degree 4, got degree 3" in err
+    code, out, _ = run(capsys, "disc", "--f", "0", "--vars", "x,y", "--degree", "4")
+    assert (code, out) == (0, "0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "disc", "--f", "0", "--vars", "x,y", "--degree", "1000000000")
+    assert time.perf_counter() - start < 5  # no list of 10^9 coefficients is built
+    assert (code, out) == (3, "")
+    assert "limited to degree 32" in err
+
+
+def test_huge_polarisation_exit_3_at_once(capsys):
+    power_sum = " + ".join(f"x{i}^40" for i in range(10))
+    names = ",".join(f"x{i}" for i in range(10))
+    for args in (("--f", "x^40+y^40", "--vars", "x,y", "--K", ",".join(["1"] * 40)),
+                 ("--f", power_sum, "--vars", names, "--K", "40")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hyperhessian", *args)
+        assert time.perf_counter() - start < 5  # 2^40 entries, or C(49, 9) indices
+        assert (code, out) == (3, "")
+        assert "out of scope" in err
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "disc", "--f", "x^-1", "--vars", "x,y")
     assert code == 2

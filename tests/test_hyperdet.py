@@ -173,9 +173,9 @@ def _random_binary_form(degree, coeff):
 
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_closed_form_disc_matches_sylvester_oracle(degree):
-    # 100 numeric forms per degree: integer, rational and Q(zeta6) coefficients,
-    # then forms passed with the formal degree declared: leading coefficients
-    # specialised to zero, the zero form, and forms of lower degree
+    # 98 numeric forms per degree: integer, rational and Q(zeta6) coefficients,
+    # then forms passed with their degree declared: leading coefficients
+    # specialised to zero, and the zero form
     rng = random.Random(100 + degree)
     z = zeta(6)
 
@@ -189,8 +189,7 @@ def test_closed_form_disc_matches_sylvester_oracle(degree):
     for zeros in (1, 1, 1, 2, 2, 2, degree, degree + 1):
         cs = [0] * zeros + [integer() for _ in range(degree + 1 - zeros)]
         forms.append(MultiPoly(XY, {(degree - i, i): c for i, c in enumerate(cs)}))
-    forms += [_random_binary_form(degree - 1, integer) for _ in range(2)]
-    assert len(forms) == 100
+    assert len(forms) == 98
     assert any(any(not isinstance(c, Fraction) for c in f.terms.values()) for f in forms)
     for f in forms:
         assert binary_form_disc(f, XY, degree=degree) == _sylvester_disc(f, XY, degree), str(f)
@@ -201,19 +200,35 @@ def test_closed_form_disc_matches_sylvester_oracle_symbolic(degree):
     names = tuple(f"c{i}" for i in range(degree + 1))
     monomials = [f"x^{degree - i}*y^{i}" for i in range(degree + 1)]
     generic = " + ".join(f"{c}*{m}" for c, m in zip(names, monomials))
-    # the generic form of one degree lower, declared at this degree
-    lower = " + ".join(f"{c}*x^{degree - 1 - i}*y^{i}" for i, c in enumerate(names[:-1]))
     rng = random.Random(200 + degree)
     mixed = [" + ".join(
         f"({rng.randint(-4, 4)}*s + {rng.randint(-4, 4)}/3*t + {rng.randint(-4, 4)})*{m}"
         for m in monomials) for _ in range(5)]
     st = ("s", "t") + XY
     forms = [parse_poly(generic, names + XY), parse_poly(generic, XY + names),
-             parse_poly(lower, names + XY),
              parse_poly(f"zeta6*s*x^{degree} - t*x*y^{degree - 1} + y^{degree}", st)]
     forms += [parse_poly(text, st) for text in mixed]
     for f in forms:
         assert binary_form_disc(f, XY, degree=degree) == _sylvester_disc(f, XY, degree), str(f)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_disc_refuses_a_form_below_its_declared_degree(degree):
+    # a nonzero form of lower degree is not a degenerate form of this degree:
+    # its coefficient list would start with zeros and the discriminant read 0
+    rng = random.Random(100 + degree)
+    names = tuple(f"c{i}" for i in range(degree))
+    generic = " + ".join(f"{c}*x^{degree - 1 - i}*y^{i}" for i, c in enumerate(names))
+    forms = [_random_binary_form(degree - 1, lambda: rng.randint(1, 9)) for _ in range(2)]
+    forms += [parse_poly(generic, names + XY), P(f"y^{degree - 1}")]
+    for f in forms:
+        for disc in (binary_form_disc, _sylvester_disc):
+            with pytest.raises(DomainError, match="got degree"):
+                disc(f, XY, degree)
+    with pytest.raises(DomainError, match="degree 4, got degree 3"):
+        binary_form_disc(P("x^3 + y^3"), XY, degree=4)
+    assert binary_form_disc(P("x^3*y"), XY, degree=4).is_zero()  # a quartic with a double root
+    assert binary_form_disc(MultiPoly.zero(XY), XY, degree=degree).is_zero()
 
 
 def test_disc_degree_is_bounded():

@@ -8,7 +8,7 @@ import pytest
 from hyperforms.errors import DomainError
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
-from hyperforms.tensor import MultiIndexSet, Tensor, fresh_names, multi_indices
+from hyperforms.tensor import MultiIndexSet, Tensor, check_shape, fresh_names, multi_indices
 
 
 def const_tensor(shape, values):
@@ -67,6 +67,16 @@ def test_flatten_roundtrip_random_shapes():
 def test_entry_count_validated():
     with pytest.raises(ValueError):
         Tensor((2, 2), [MultiPoly.constant(1)] * 3)
+
+
+def test_shape_entry_count_is_bounded():
+    assert check_shape([8, 8, 8, 8]) == (8, 8, 8, 8)
+    assert check_shape((2,) * 12) == (2,) * 12
+    for shape in ((2,) * 13, (8, 8, 8, 8, 2), (2,) * 40):
+        with pytest.raises(DomainError, match="4096 entries"):
+            check_shape(shape)
+    with pytest.raises(DomainError, match="4096 entries"):
+        Tensor.zeros((2,) * 40)
 
 
 # -- contraction ----------------------------------------------------------------------

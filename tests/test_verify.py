@@ -9,7 +9,8 @@ from hyperforms.cli import run_command
 from hyperforms.errors import DomainError
 from hyperforms.verify import (
     SUITES,
-    _ConstantPin,
+    IdentityRecord,
+    _pin_ratio,
     factored_constant,
     is_23_smooth,
     run_all,
@@ -34,13 +35,22 @@ def test_smoothness_predicate():
 
 
 def test_constant_pin_calibrates_then_detects_mismatch():
-    pin = _ConstantPin()
-    assert pin.check(Fraction(5), "first") is None
-    assert pin.check(Fraction(5), "second") is None
-    complaint = pin.check(Fraction(7), "third")
-    assert complaint is not None
-    assert "first" in complaint and "third" in complaint
-    assert "5" in complaint and "7" in complaint
+    def pinned(*values):
+        draws = iter([(Fraction(v), name) for v, name in values])
+        rec = IdentityRecord("ratio", len(values), True)
+        return _pin_ratio(rec, draws.__next__, lambda value, witness: (value, witness))
+
+    ok = pinned((5, "first"), (5, "second"))
+    assert (ok.passed, ok.constant, ok.counterexample) == (True, 5, None)
+    bad = pinned((5, "first"), (5, "second"), (7, "third"), (9, "fourth"))
+    assert (bad.passed, bad.constant) == (False, None)
+    assert bad.counterexample == "first -> 5; third -> 7"
+
+
+def test_zero_trials_pin_no_constant():
+    for name in ("prop21", "prop41"):
+        for rec in run_suite(name, seed=1, trials=0).identities:
+            assert rec.passed and rec.constant is None
 
 
 def test_unknown_suite_rejected():
