@@ -20,7 +20,7 @@ from .errors import DomainError, UnsupportedFormatError
 from .hyperdet import hyperdet
 from .poly import MultiPoly
 from .scalars import as_fraction, scalar_pow, zeta
-from .tensor import Tensor
+from .tensor import Tensor, check_shape
 
 
 @dataclass(frozen=True)
@@ -121,25 +121,18 @@ def projector_trace(d: int, dim: int, k: int) -> Fraction:
 
 def gramm_tensor(form: Tensor, vectors) -> Tensor:
     """Pair a d-linear form with an m-tuple: entry (i_1, ..., i_d) is the
-    full contraction of the form against the selected vectors."""
+    full contraction of the form against the selected vectors, computed by
+    contracting one slot at a time with the whole tuple."""
     d, dim = _hypercubic_dims(form)
     vecs = [[as_fraction(c) for c in v] for v in vectors]
     if any(len(v) != dim for v in vecs):
         raise DomainError(f"vectors must have dimension {dim}")
-    m = len(vecs)
-    if m < 1:
+    if not vecs:
         raise DomainError("need at least one vector")
-    entries = []
-    for sel in itertools.product(range(m), repeat=d):
-        acc = MultiPoly.zero(form.vars)
-        for jdx in form.indices():
-            coeff = Fraction(1)
-            for slot, j in enumerate(jdx):
-                coeff *= vecs[sel[slot]][j]
-            if coeff:
-                acc = acc + form[jdx] * coeff
-        entries.append(acc)
-    return Tensor((m,) * d, entries, form.vars)
+    check_shape((len(vecs),) * d)  # refuse the result's shape before any slot is mapped
+    for axis in range(d):
+        form = form._act(axis, vecs)
+    return form
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import enum
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedFormatError
-from .poly import MultiPoly
+from .poly import MultiPoly, merge_vars
 from .tensor import Tensor, check_shape, fresh_names
 
 
@@ -57,14 +57,6 @@ def _shape_str(shape) -> str:
 # -- exact determinants ------------------------------------------------------
 
 
-def _align_rows(rows):
-    merged: tuple[str, ...] = ()
-    for row in rows:
-        for p in row:
-            merged = merged + tuple(v for v in p.vars if v not in merged)
-    return [[p.with_vars(merged) for p in row] for row in rows], merged
-
-
 def det_rows(rows) -> MultiPoly:
     """Determinant of a square list-of-lists of polynomials.
 
@@ -74,7 +66,8 @@ def det_rows(rows) -> MultiPoly:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DomainError("determinant needs a square matrix")
-    m, merged = _align_rows(rows)
+    merged = merge_vars(p.vars for row in rows for p in row)
+    m = [[p.with_vars(merged) for p in row] for row in rows]
     if n == 0:
         return MultiPoly.constant(1)
     if n == 1:
@@ -235,13 +228,11 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
 
 
 def _schlaefli(t: Tensor) -> MultiPoly:
-    # The longest axis goes last, ties to the highest index, so 2x2x3 in any
+    # Contract the longest axis, ties to the highest index, so 2x2x3 in any
     # axis order contracts its 3-axis.
-    last = max(range(t.ndim), key=lambda i: (t.shape[i], i))
-    if last != t.ndim - 1:
-        t = t.transpose([i for i in range(t.ndim) if i != last] + [last])
-    u = fresh_names(t.vars, t.shape[-1])
-    pencil = t.contract_axis(t.ndim - 1, u)
+    longest = max(range(t.ndim), key=lambda i: (t.shape[i], i))
+    u = fresh_names(t.vars, t.shape[longest])
+    pencil = t.contract_axis(longest, u)
     form = det_square(pencil) if pencil.ndim == 2 else _schlaefli(pencil)
     if len(u) == 3:
         return ternary_quadratic_disc(form, u)

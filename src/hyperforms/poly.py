@@ -23,6 +23,11 @@ def _grlex(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
+def merge_vars(tuples) -> tuple[str, ...]:
+    """The union of variable tuples, each name where it first appears."""
+    return tuple(dict.fromkeys(v for vs in tuples for v in vs))
+
+
 def _coerce_coeff(c):
     if isinstance(c, Fraction) or isinstance(c, Cyclotomic):
         return c
@@ -151,7 +156,7 @@ class MultiPoly:
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
             return self, other
-        merged = self.vars + tuple(v for v in other.vars if v not in self.vars)
+        merged = merge_vars((self.vars, other.vars))
         return self.with_vars(merged), other.with_vars(merged)
 
     def _promote(self, value):

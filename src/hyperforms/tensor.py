@@ -14,7 +14,7 @@ import json
 import math
 
 from .errors import DomainError
-from .poly import COEFF_TYPES, MultiPoly
+from .poly import COEFF_TYPES, MultiPoly, merge_vars
 
 
 _MAX_ENTRIES = 8 ** 4  # every entry is stored, so bound the count before building any
@@ -109,10 +109,7 @@ class Tensor:
                 raise TypeError(f"entry is not a polynomial: {x!r}")
             polys.append(x)
         if variables is None:
-            merged: tuple[str, ...] = ()
-            for p in polys:
-                merged = merged + tuple(v for v in p.vars if v not in merged)
-            variables = merged
+            variables = merge_vars(p.vars for p in polys)
         self.vars = tuple(variables)
         self.entries = [p.with_vars(self.vars) for p in polys]
 
@@ -194,6 +191,25 @@ class Tensor:
                    for nidx in itertools.product(*map(range, new_shape))]
         return Tensor(new_shape, entries, self.vars)
 
+    def _act(self, axis: int, rows) -> "Tensor":
+        """Map one slot through an r x n list of scalars or polynomials:
+        new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...]."""
+        inner = math.prod(self.shape[axis + 1:])
+        step = self.shape[axis] * inner
+        zero = MultiPoly.zero(merge_vars([self.vars] + [
+            c.vars for row in rows for c in row if isinstance(c, MultiPoly)]))
+        entries = []
+        for start in range(0, len(self.entries), step):
+            cols = [self.entries[start + k:start + step:inner] for k in range(inner)]
+            for row in rows:
+                for col in cols:
+                    acc = zero
+                    for coeff, p in zip(row, col):
+                        if coeff:
+                            acc = acc + p * coeff
+                    entries.append(acc)
+        return Tensor(self.shape[:axis] + (len(rows),) + self.shape[axis + 1:], entries, zero.vars)
+
     def contract_axis(self, axis: int, var_names) -> "Tensor":
         """Replace one axis by a linear form in fresh variables.
 
@@ -209,17 +225,9 @@ class Tensor:
         clash = set(names) & set(self.vars)
         if clash:
             raise DomainError(f"contraction variables collide with {sorted(clash)}")
-        new_vars = self.vars + names
-        u = [MultiPoly.variable(v, new_vars) for v in names]
-        rest_shape = self.shape[:axis] + self.shape[axis + 1:]
-        entries = []
-        for idx in itertools.product(*map(range, rest_shape)):
-            entry = MultiPoly.zero(new_vars)
-            for j in range(self.shape[axis]):
-                full = idx[:axis] + (j,) + idx[axis:]
-                entry = entry + u[j] * self[full]
-            entries.append(entry)
-        return Tensor(rest_shape, entries, new_vars)
+        acted = self._act(axis, [[MultiPoly.variable(v, self.vars + names) for v in names]])
+        # the slot now has length 1, so dropping it keeps the row-major order
+        return Tensor(self.shape[:axis] + self.shape[axis + 1:], acted.entries, acted.vars)
 
     def apply_gl(self, axis: int, g) -> "Tensor":
         """Act on one slot: new[..., i, ...] = sum_j g[i][j] * old[..., j, ...]."""
@@ -229,16 +237,7 @@ class Tensor:
         rows = [list(r) for r in g]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix must be {n}x{n} for axis {axis}")
-        entries = []
-        for idx in self.indices():
-            i = idx[axis]
-            acc = MultiPoly.zero(self.vars)
-            for j in range(n):
-                coeff = rows[i][j]
-                if coeff:
-                    acc = acc + self[idx[:axis] + (j,) + idx[axis + 1:]] * coeff
-            entries.append(acc)
-        return Tensor(self.shape, entries, self.vars)
+        return self._act(axis, rows)
 
     # -- serialisation -----------------------------------------------------------
 

@@ -232,15 +232,14 @@ _QUARTIC = "c40*x^4 + c31*x^3*y + c22*x^2*y^2 + c13*x*y^3 + c04*y^4"
 
 
 def suite_prop12(rng, trials, bound):
-    rec = IdentityRecord("symbolic-quartic-divisibility", 1, True)
-    f = parse_poly(_QUARTIC, _QUARTIC_VARS)
-    hh = hyperhessian(f, (1, 1, 1, 1), XY)
-    disc = binary_form_disc(f)
-    quot = hh.exact_div(disc)
-    if quot is None or quot * disc != hh:
-        rec.passed = False
-        rec.counterexample = "hyperhessian not divisible by the symbolic discriminant"
-    return [rec]
+    def divisible():
+        f = parse_poly(_QUARTIC, _QUARTIC_VARS)
+        hh, disc = hyperhessian(f, (1, 1, 1, 1), XY), binary_form_disc(f)
+        quot = hh.exact_div(disc)
+        if quot is None or quot * disc != hh:
+            return "hyperhessian not divisible by the symbolic discriminant"
+
+    return [_for_all(IdentityRecord("symbolic-quartic-divisibility", 1, True), 1, divisible)]
 
 
 def suite_prop24(rng, trials, bound):
@@ -285,20 +284,17 @@ def suite_prop41(rng, trials, bound):
 
 def suite_hankel22(rng, trials, bound):
     rec = IdentityRecord("polarised-pair-hessian-vs-hankel", 1, True)
-    f = parse_poly(_QUARTIC, _QUARTIC_VARS)
-    h22 = hyperhessian(f, (2, 2), XY)
-    hank = hankel_quartic(f)
-    quot = h22.exact_div(hank)
-    if quot is None:
-        rec.passed = False
-        rec.counterexample = "ratio is not a polynomial"
-    else:
-        try:
-            rec.constant = quot.as_scalar()
-        except DomainError:
-            rec.passed = False
-            rec.counterexample = f"ratio is not constant: {quot}"
-    return [rec]
+
+    def constant_ratio():
+        f = parse_poly(_QUARTIC, _QUARTIC_VARS)
+        quot = hyperhessian(f, (2, 2), XY).exact_div(hankel_quartic(f))
+        if quot is None:
+            return "ratio is not a polynomial"
+        if quot.total_degree() > 0:
+            return f"ratio is not constant: {quot}"
+        rec.constant = quot.as_scalar()
+
+    return [_for_all(rec, 1, constant_ratio)]
 
 
 def suite_skew(rng, trials, bound):
@@ -444,6 +440,10 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
               coeff_range: int = 9) -> VerifyReport:
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if trials is not None and trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if coeff_range < 0:
+        raise ValueError(f"coefficient range must be >= 0, got {coeff_range}")
     fn, default_trials = SUITES[name]
     rng = random.Random(seed)
     report = VerifyReport(name, seed, coeff_range)

@@ -218,6 +218,16 @@ def test_verify_unknown_suite_exit_3(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("flag, value, complaint", [
+    ("--trials", "-2", "trials must be >= 0, got -2"),
+    ("--range", "-1", "coefficient range must be >= 0, got -1"),
+])
+def test_verify_negative_trials_or_range_exit_2(capsys, flag, value, complaint):
+    code, out, err = run(capsys, "verify", "--suite", "prop21", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {complaint}\n"
+
+
 def test_determinism_byte_identical(capsys):
     args = ("verify", "--suite", "prop41", "--seed", "7", "--trials", "3", "--json")
     _, out1, _ = run(capsys, *args)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -14,6 +15,7 @@ from hyperforms.gramm import (
     projector_trace,
     skew_gramm,
 )
+from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import zeta
 from hyperforms.tensor import Tensor
@@ -222,6 +224,37 @@ def test_gramm_equivariance_under_tuple_mixing():
             want = sum(g[i][a] * gm[a, b].as_scalar() * g[j][b]
                        for a in range(3) for b in range(3))
             assert mixed_gm[i, j].as_scalar() == want
+
+
+def reference_gramm_tensor(form, vectors):
+    """Each entry as its own d-fold contraction: entry (i_1, ..., i_d) sums
+    form[j_1, ..., j_d] * v_i1[j_1] * ... * v_id[j_d] over every j."""
+    d, m = form.ndim, len(vectors)
+    entries = []
+    for sel in itertools.product(range(m), repeat=d):
+        acc = MultiPoly.zero(form.vars)
+        for jdx in form.indices():
+            coeff = Fraction(1)
+            for slot, j in enumerate(jdx):
+                coeff *= vectors[sel[slot]][j]
+            if coeff:
+                acc = acc + form[jdx] * coeff
+        entries.append(acc)
+    return Tensor((m,) * d, entries, form.vars)
+
+
+@pytest.mark.parametrize("d, dim", [(2, 2), (2, 3), (3, 2)])
+def test_gramm_tensor_matches_per_entry_contraction(d, dim):
+    rng = random.Random(100 * d + dim)
+    texts = ["3", "-1/2", "0", "a", "b^2", "a - 2*b^2", "zeta6", "2*zeta6*a - 1"]
+    for m in range(1, dim + 2):
+        for _ in range(3):
+            form = Tensor((dim,) * d, [parse_poly(rng.choice(texts), ("a", "b"))
+                                       for _ in range(dim ** d)], ("a", "b"))
+            vecs = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(dim)]
+                    for _ in range(m)]
+            got, want = gramm_tensor(form, vecs), reference_gramm_tensor(form, vecs)
+            assert got.to_json() == want.to_json()
 
 
 # -- gramm forms ---------------------------------------------------------------------------

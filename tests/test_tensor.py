@@ -168,6 +168,28 @@ def test_apply_gl_dimension_mismatch():
         t.apply_gl(0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+@pytest.mark.parametrize("shape, axis, g", [
+    ((2, 3), 1, [[1, 0, 0], [0, 1, 0]]),      # 2x3 on a 3-axis
+    ((2, 3), 0, [[1, 0], [0, 1], [1, 1]]),    # 3x2 on a 2-axis
+    ((2, 3), 0, [[1, 0], [0]]),               # ragged rows
+])
+def test_apply_gl_refuses_non_square_matrices(shape, axis, g):
+    t = Tensor.zeros(shape)
+    with pytest.raises(DomainError, match=f"matrix must be {shape[axis]}x{shape[axis]}"):
+        t.apply_gl(axis, g)
+
+
+def test_contract_middle_axis_equals_transpose_then_contract_last():
+    rng = random.Random(11)
+    texts = ["2", "-1/3", "0", "x", "y^2", "x - y", "zeta6*x"]
+    for _ in range(5):
+        t = Tensor((2, 3, 2), [parse_poly(rng.choice(texts), ("x", "y")) for _ in range(12)])
+        names = ("u0", "u1", "u2")
+        direct = t.contract_axis(1, names)
+        moved = t.transpose((0, 2, 1)).contract_axis(2, names)
+        assert direct.to_json() == moved.to_json()
+
+
 # -- JSON round-trip ---------------------------------------------------------------------
 
 

@@ -53,6 +53,15 @@ def test_zero_trials_pin_no_constant():
             assert rec.passed and rec.constant is None
 
 
+def test_negative_trials_and_range_refused():
+    with pytest.raises(ValueError, match="trials must be >= 0, got -2"):
+        run_suite("prop21", seed=1, trials=-2)
+    with pytest.raises(ValueError, match="coefficient range must be >= 0, got -1"):
+        run_suite("prop21", seed=1, coeff_range=-1)
+    for name in ("prop12", "hankel22", "skew"):
+        assert run_suite(name, seed=1, trials=1, coeff_range=0).passed
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError, match="unknown suite"):
         run_suite("nonsense", seed=1)
