@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .hyperdet import _bounded_degree, _sylvester_rows, det_rows, det_square
-from .poly import MultiPoly
+from .poly import MultiPoly, binary_vars
 from .tensor import Tensor
 
 
@@ -52,6 +52,7 @@ def apolar_quartic(f: MultiPoly, xy=("x", "y")) -> MultiPoly:
 def wronskian3(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly, xy=("x", "y")) -> MultiPoly:
     """Wronskian of three equal-degree binary forms in the dehomogenised
     variable x/y; identically zero iff the forms are linearly dependent."""
+    xy = binary_vars(xy)
     x, y = xy
     forms = [f.extend_vars(xy) for f in (f1, f2, f3)]
     degs = {f.homogeneous_degree_in(xy) for f in forms if not f.is_zero()}

@@ -9,6 +9,7 @@ are all thin layers over it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -25,23 +26,17 @@ def _form_degree(f: MultiPoly, geo) -> int:
     return d
 
 
-class _DerivativeCache:
-    """Shares iterated partials among tensor entries with equal total index."""
-
-    def __init__(self, f: MultiPoly, geo):
-        self.f = f
-        self.geo = tuple(geo)
-        self.cache: dict[tuple[int, ...], MultiPoly] = {}
-
-    def get(self, alpha: tuple[int, ...]) -> MultiPoly:
-        p = self.cache.get(alpha)
-        if p is None:
-            p = self.f
-            for v, order in zip(self.geo, alpha):
-                if order:
-                    p = p.partial(v, order)
-            self.cache[alpha] = p
+def _derivatives(f: MultiPoly, geo):
+    """The iterated partial of ``f`` for a multi-index over ``geo``, shared
+    among tensor entries with equal total index."""
+    @functools.lru_cache(maxsize=None)
+    def partial(alpha: tuple[int, ...]) -> MultiPoly:
+        p = f
+        for v, order in zip(geo, alpha):
+            if order:
+                p = p.partial(v, order)
         return p
+    return partial
 
 
 def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
@@ -63,11 +58,11 @@ def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
     # a slot of weight km has C(n + km - 1, km) multi-indices in n variables
     shape = check_shape(math.comb(len(geo) + km - 1, km) for km in key)
     sets = [MultiIndexSet(len(geo), km) for km in key]
-    derivs = _DerivativeCache(f, geo)
+    derivs = _derivatives(f, geo)
     entries = []
     for combo in itertools.product(*(s.indices for s in sets)):
         alpha = tuple(sum(parts) for parts in zip(*combo))
-        entries.append(derivs.get(alpha))
+        entries.append(derivs(alpha))
     return Tensor(shape, entries, f.vars)
 
 
@@ -133,6 +128,6 @@ def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
     geo = tuple(geo_vars)
     f = f.extend_vars(geo)
     n = len(geo)
-    derivs = _DerivativeCache(f, geo)
+    derivs = _derivatives(f, geo)
     return Tensor.from_function(
-        (n,) * steps, lambda idx: derivs.get(tuple(idx.count(i) for i in range(n))), f.vars)
+        (n,) * steps, lambda idx: derivs(tuple(idx.count(i) for i in range(n))), f.vars)

@@ -28,6 +28,13 @@ def merge_vars(tuples) -> tuple[str, ...]:
     return tuple(dict.fromkeys(v for vs in tuples for v in vs))
 
 
+def binary_vars(xy) -> tuple[str, ...]:
+    """The form variables of a binary form, refused unless there are exactly two."""
+    if len(xy := tuple(xy)) != 2:
+        raise DomainError(f"a binary form needs exactly two form variables, got {len(xy)}")
+    return xy
+
+
 def _coerce_coeff(c):
     if isinstance(c, Fraction) or isinstance(c, Cyclotomic):
         return c
@@ -370,6 +377,7 @@ class MultiPoly:
         A nonzero form must be homogeneous in ``xy``, of degree ``degree`` when
         that is given; the zero form has no degree of its own and needs it.
         """
+        xy = binary_vars(xy)
         f = self.extend_vars(xy)
         d = f.homogeneous_degree_in(xy)
         if degree is None:

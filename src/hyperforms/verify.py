@@ -108,12 +108,13 @@ class VerifyReport:
 
 
 def _reject_degenerate(draw, what: str):
-    """Resample until ``draw`` returns a non-None instance, capped at 1000."""
+    """Resample until ``draw`` returns a non-None instance, capped at 1000;
+    only a coefficient range too small for one (such as 0) exhausts the cap."""
     for _ in range(1000):
         v = draw()
         if v is not None:
             return v
-    raise DomainError(f"rejection sampling exhausted 1000 attempts for {what}")
+    raise ValueError(f"coefficient range too small: 1000 draws gave no {what}")
 
 
 def _random_form(rng, degree: int, bound: int) -> MultiPoly:

@@ -11,6 +11,7 @@ from hyperforms.classical import (
     wronskian3,
 )
 from hyperforms.errors import DomainError
+from hyperforms.hyperdet import binary_form_disc
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 
@@ -142,6 +143,19 @@ def test_quartic_invariants_refuse_other_degrees():
         for invariant in (hankel_quartic, hankel_matrix, apolar_quartic):
             with pytest.raises(DomainError, match="degree 4, got degree"):
                 invariant(P(text))
+
+
+@pytest.mark.parametrize("xy", [("x",), ("x", "y", "z")])
+def test_binary_invariants_need_exactly_two_form_variables(xy):
+    # x^4 + z^4 is homogeneous in (x, y, z), so only the arity rule refuses it
+    f = P("x^4 + z^4", ("x", "y", "z"))
+    calls = (lambda: f.binary_coefficients(xy), lambda: binary_form_disc(f, xy),
+             lambda: sylvester_resultant(f, f, xy),
+             lambda: hankel_quartic(f, xy), lambda: apolar_quartic(f, xy),
+             lambda: wronskian3(f, f, f, xy))
+    for call in calls:
+        with pytest.raises(DomainError, match=f"exactly two form variables, got {len(xy)}$"):
+            call()
 
 
 def _gl_weight(invariant):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -11,6 +12,33 @@ def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# sha256 of each --help screen at COLUMNS=80; "" is the top-level screen
+HELP_SHA256 = {
+    "": "0c2d25feae3322eda53adfc9d896110e46ee46720871df8202581d665145b2dc",
+    "polarize": "e255e624e718a6e89e596e2728c72d18d519c1943762d6707bfab6e8f114f598",
+    "hyperdet": "894e79b6ab82e1bb8355a02ca95331a8cc161f9e94293b798d01db8ccc1dcda3",
+    "disc": "ace287d396266b0f7d6b9c41ec86211e515120e83ca9887d0be96c7967e592cf",
+    "resultant": "0f9aed30722530df0b10de2f35ca817de92a26dafc447589855e0ce5e7101b8e",
+    "hyperhessian": "0bd593e3a3324b47eef847da9256873131b40d800a1eb564986125cb6bbf583e",
+    "hyperresultant": "f53860342a021b9cb67875ed85cdfe4849319fa64aaa12c586d035387a525077",
+    "jacobi": "142e347cca940b11f02a3618ce533d795ee3f35c1cc0e036a7f613786d65f73d",
+    "wronskian": "96df8449b89a44e4543f165212202121ebebf8fab25ae159eb3ca5c93872616f",
+    "hankel": "7acd44d7b4e0f1255e1601dca9a49f34117305eb8eac1ffd22b57dbbe26610d0",
+    "apolar": "4e26537625ade8c7973aab453a1c59df19c18b5c4cf051d15db071cb12d7411d",
+    "gramm": "8a090a9070e2c6d242ea7a5afd6193b7dccacc31cfbb86e11f45914e20ee615f",
+    "project": "2a929a73fc1c90bdff8966aa59b75ef3421fa965846646da69d5d908837cfd25",
+    "verify": "98d1d9d96cb88318ee6eb179e716781e83950f2911b8a5c7f0fe8fff9ea99e90",
+}
+
+
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda c: c or "top")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def test_disc_example(capsys):
@@ -226,6 +254,44 @@ def test_verify_negative_trials_or_range_exit_2(capsys, flag, value, complaint):
     code, out, err = run(capsys, "verify", "--suite", "prop21", flag, value)
     assert code == 2 and out == ""
     assert err == f"error: {complaint}\n"
+
+
+def test_verify_range_too_small_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "4",
+                         "--range", "0", "--trials", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient range too small: 1000 draws gave no degree-2 form\n"
+
+
+@pytest.mark.parametrize("names", ["x", "x,y,z"])
+@pytest.mark.parametrize("command, forms", [
+    ("disc", ("--f", "x^2")),
+    ("resultant", ("--f", "x", "--g", "x")),
+    ("wronskian", ("--f", "x^2", "--f", "x", "--f", "1")),
+    ("hankel", ("--f", "x^4")),
+    ("apolar", ("--f", "x^4")),
+])
+def test_binary_commands_need_two_form_variables_exit_3(capsys, command, forms, names):
+    code, out, err = run(capsys, command, *forms, "--vars", names)
+    assert (code, out) == (3, "")
+    count = len(names.split(","))
+    assert err == f"error: a binary form needs exactly two form variables, got {count}\n"
+
+
+@pytest.mark.parametrize("flag, value, complaint", [
+    ("--K", "1,a", "key must be comma-separated integers, got '1,a'"),
+    ("--K", "", "key must be comma-separated integers, got ''"),
+    ("--vars", ",", "expected a comma-separated list of names"),
+    ("--coeffs", " , ", "expected a comma-separated list of names"),
+    ("--coeffs", "", "expected a comma-separated list of names"),
+], ids=["K-letter", "K-empty", "vars-comma", "coeffs-blank", "coeffs-empty"])
+def test_malformed_key_or_names_exit_2(capsys, flag, value, complaint):
+    argv = {"--f": "x^4 + y^4", "--vars": "x,y", "--K": "2,2"}
+    argv[flag] = value
+    code, out, err = run(capsys, "hyperhessian", *(t for item in argv.items() for t in item))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: hyperforms hyperhessian ")
+    assert err.endswith(f"hyperforms hyperhessian: error: argument {flag}: {complaint}\n")
 
 
 def test_determinism_byte_identical(capsys):
