@@ -66,7 +66,7 @@ def _parse_vectors(text: str) -> list[list[Fraction]]:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in vector {chunk!r}") from None
     if not vectors:
-        raise DomainError("expected vectors like '1,0;0,1'")
+        raise ValueError("expected vectors like '1,0;0,1'")
     return vectors
 
 

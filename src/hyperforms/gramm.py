@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import DomainError, UnsupportedFormatError
@@ -59,8 +60,18 @@ class OrbitTable:
         return (k * orbit.size) % factorial(self.d) == 0
 
 
+@lru_cache(maxsize=None)
 def orbit_ord(d: int, dim: int) -> OrbitTable:
+    """The orbit table of the dim^d tensors, built once per shape and shared
+    by every caller, so read-only; OrbitTable's bounds keep the cache small."""
     return OrbitTable(d, dim)
+
+
+@lru_cache(maxsize=None)
+def _unity_powers(m: int) -> tuple:
+    """(eps^0, ..., eps^(m-1)) for eps = zeta(m), built once per order."""
+    eps = zeta(m)
+    return tuple(scalar_pow(eps, j) for j in range(m))
 
 
 def _hypercubic_dims(t: Tensor) -> tuple[int, int]:
@@ -75,14 +86,16 @@ def project_k(t: Tensor, k: int) -> Tensor:
 
     On each admissible orbit this is the orbit DFT: the output over the
     arrangement with ordinal j is eps^(k*j) times the averaged
-    eps^(-k*j')-weighted input; inadmissible orbits are annihilated.
+    eps^(-k*j')-weighted input; inadmissible orbits are annihilated.  The
+    powers of eps are read from one table per order, and the orbits from one
+    table per shape, both cached across calls.
     """
     d, dim = _hypercubic_dims(t)
     fact = factorial(d)
     if not 0 <= k < fact:
         raise DomainError(f"component index must satisfy 0 <= k < {fact}, got {k}")
-    table = OrbitTable(d, dim)
-    eps = zeta(fact)
+    table = orbit_ord(d, dim)
+    powers = _unity_powers(fact)
     entries = [MultiPoly.zero(t.vars)] * len(t.entries)
     for orbit in table.orbits:
         if not table.admissible(k, orbit):
@@ -90,10 +103,10 @@ def project_k(t: Tensor, k: int) -> Tensor:
         s = orbit.size
         base = MultiPoly.zero(t.vars)
         for j, arr in enumerate(orbit.arrangements):
-            base = base + t[arr] * scalar_pow(eps, (-k * j) % fact)
-        base = base / Fraction(s)
+            base = base + t[arr] * powers[(-k * j) % fact]
+        base = base / s
         for j, arr in enumerate(orbit.arrangements):
-            entries[t.flat_index(arr)] = base * scalar_pow(eps, (k * j) % fact)
+            entries[t.flat_index(arr)] = base * powers[(k * j) % fact]
     return Tensor(t.shape, entries, t.vars)
 
 

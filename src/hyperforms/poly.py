@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials over exact scalars.
 
 A :class:`MultiPoly` is an ordered variable tuple plus a mapping from
-exponent vectors to nonzero coefficients (rational or cyclotomic).  All
+exponent vectors to nonzero coefficients: ``int`` when integral, otherwise
+``Fraction`` or :class:`Cyclotomic`.  All
 operations are pure and exact; instances are immutable by convention.
 Canonical ordering of terms is graded lexicographic with respect to the
 variable tuple, which makes equality structural and rendering canonical.
@@ -14,7 +15,7 @@ from fractions import Fraction
 from operator import add as _add
 
 from .errors import DomainError
-from .scalars import Cyclotomic
+from .scalars import Cyclotomic, canonical, exact_quotient
 
 COEFF_TYPES = (int, Fraction, Cyclotomic)
 
@@ -36,10 +37,10 @@ def binary_vars(xy) -> tuple[str, ...]:
 
 
 def _coerce_coeff(c):
-    if isinstance(c, Fraction) or isinstance(c, Cyclotomic):
-        return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)  # a bool becomes a plain int
+    if isinstance(c, (Fraction, Cyclotomic)):
+        return canonical(c)
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
 
 
@@ -92,7 +93,7 @@ class MultiPoly:
         exps = tuple(1 if v == name else 0 for v in vs)
         if name not in vs:
             raise ValueError(f"{name!r} not among variables {vs}")
-        return cls._raw(vs, {exps: Fraction(1)})
+        return cls._raw(vs, {exps: 1})
 
     # -- basic queries -------------------------------------------------------
 
@@ -120,13 +121,14 @@ class MultiPoly:
         return any(e[i] for e in self.terms)
 
     def as_scalar(self):
-        """The value of a constant polynomial (0 for the zero polynomial)."""
+        """The value of a constant polynomial (0 for the zero polynomial);
+        a rational value is returned as a ``Fraction``."""
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1:
             e, c = next(iter(self.terms.items()))
             if not any(e):
-                return c
+                return Fraction(c) if type(c) is int else c
         raise DomainError(f"not a constant polynomial: {self}")
 
     # -- variable plumbing ---------------------------------------------------
@@ -236,7 +238,8 @@ class MultiPoly:
             return NotImplemented
         if not scalar:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return MultiPoly._raw(self.vars, {e: c / scalar for e, c in self.terms.items()})
+        return MultiPoly._raw(self.vars, {e: exact_quotient(c, scalar)
+                                          for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -350,7 +353,7 @@ class MultiPoly:
             diff = tuple(map(int.__sub__, e, qlead))
             if any(x < 0 for x in diff):
                 return None
-            coef = c / qlc
+            coef = exact_quotient(c, qlc)
             quot[diff] = coef
             for qe, qc in qrest:
                 te = tuple(map(_add, diff, qe))

@@ -1,10 +1,11 @@
 """Exact scalar arithmetic: rationals and cyclotomic field elements.
 
-Plain rationals are ``fractions.Fraction``.  Roots of unity live in
-:class:`Cyclotomic`, a residue vector modulo the m-th cyclotomic polynomial.
-Arithmetic never leaves exact representations; any cyclotomic value that
-reduces to a rational is demoted back to ``Fraction`` so rationals have a
-single canonical form throughout the package.
+Integral values are stored as ``int`` and other rationals as
+``fractions.Fraction``.  Roots of unity live in :class:`Cyclotomic`, a residue
+vector modulo the m-th cyclotomic polynomial whose integral entries are
+``int`` too.  Arithmetic never leaves exact representations and never yields
+a ``float``; any cyclotomic value that reduces to a rational is demoted to a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not a rational scalar: {x!r}")
+
+
+def canonical(q):
+    """An integral Fraction as its int numerator; anything else unchanged."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
+def exact_quotient(a, b):
+    """a / b with an integral quotient as ``int``, never a ``float``: int/int
+    goes through divmod, anything else through the operands' own division."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return canonical(a / b)
 
 
 def _dense_trim(cs: list) -> list:
@@ -88,13 +103,14 @@ class Cyclotomic:
     """Element of the field obtained by adjoining a primitive m-th root of unity.
 
     Stored as a coefficient vector of length deg(Phi_m) over the rationals,
-    reduced modulo Phi_m.  Values whose vector is constant are never
-    constructed; :func:`_make` demotes them to ``Fraction``.
+    with integral entries as ``int``, reduced modulo Phi_m.  Values whose
+    vector is constant are never constructed; :func:`_make` demotes them to
+    ``Fraction``.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, order: int, coeffs: tuple[int | Fraction, ...]):
         self.order = order
         self.coeffs = coeffs
 
@@ -103,19 +119,19 @@ class Cyclotomic:
     @staticmethod
     def _make(order: int, coeffs: list):
         phi = cyclotomic_polynomial(order)
-        cs = [as_fraction(c) for c in coeffs]
+        cs = [canonical(c) for c in coeffs]
         if len(cs) >= len(phi):
             cs = _dense_rem_monic(cs, list(phi))
         deg = len(phi) - 1
-        cs = cs + [Fraction(0)] * (deg - len(cs))
+        cs = cs + [0] * (deg - len(cs))
         if not any(cs[1:]):
-            return cs[0] if cs else Fraction(0)
+            return Fraction(cs[0] if cs else 0)
         return Cyclotomic(order, tuple(cs))
 
     def _embed(self, other):
         if isinstance(other, RATIONAL_TYPES):
             deg = len(self.coeffs)
-            return Cyclotomic(self.order, (as_fraction(other),) + (Fraction(0),) * (deg - 1))
+            return Cyclotomic(self.order, (canonical(other),) + (0,) * (deg - 1))
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
                 raise ValueError(
@@ -147,10 +163,9 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            q = as_fraction(other)
-            if not q:
+            if not other:
                 return Fraction(0)
-            return Cyclotomic(self.order, tuple(c * q for c in self.coeffs))
+            return Cyclotomic(self.order, tuple(canonical(c * other) for c in self.coeffs))
         o = self._embed(other)
         if o is None:
             return NotImplemented
@@ -175,12 +190,11 @@ class Cyclotomic:
             t0, t1 = t1, _dense_trim(nt)
         # r0 is now gcd = nonzero constant (Phi_m is irreducible)
         g = r0[0]
-        return self._make(self.order, [c / g for c in t0])
+        return self._make(self.order, [exact_quotient(c, g) for c in t0])
 
     def __truediv__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            q = as_fraction(other)
-            return Cyclotomic(self.order, tuple(c / q for c in self.coeffs))
+            return Cyclotomic(self.order, tuple(exact_quotient(c, other) for c in self.coeffs))
         o = self._embed(other)
         if o is None:
             return NotImplemented

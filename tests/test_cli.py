@@ -343,6 +343,16 @@ def test_gramm_zero_denominator_exit_2(capsys, tmp_path):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("vectors", [";", " ; ", "a,b"])
+def test_gramm_malformed_vectors_exit_2(capsys, tmp_path, vectors):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(
+        {"shape": [2, 2], "vars": [], "entries": ["1", "0", "0", "1"]}))
+    code, out, err = run(capsys, "gramm", "--form", str(path), "--vectors", vectors)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+
+
 def test_duplicate_variable_names_exit_2(capsys):
     code, out, err = run(capsys, "polarize", "--f", "x^2+y^2", "--vars", "x,y",
                          "--coeffs", "x", "--K", "1,1")

@@ -1,0 +1,167 @@
+"""No float anywhere.
+
+Every value the library returns is exact, and so is every polynomial and
+every cyclotomic number it builds on the way: a fixture checks each
+``MultiPoly`` and ``Cyclotomic`` as it is constructed.  Integral
+coefficients that enter through ``MultiPoly(...)`` or ``parse_poly`` are
+stored as ``int``.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from hyperforms.gramm import GrammValue, gramm_form, project_k, skew_gramm
+from hyperforms.hyperdet import binary_form_disc, hyperdet
+from hyperforms.parser import parse_poly
+from hyperforms.poly import MultiPoly
+from hyperforms.scalars import Cyclotomic, exact_quotient, zeta
+from hyperforms.tensor import Tensor
+from hyperforms.verify import SUITES, IdentityRecord, VerifyReport, run_suite
+
+XY = ("x", "y")
+
+
+def check_exact(value):
+    """Fail on a float, or on any value that is not one of the exact kinds."""
+    if isinstance(value, float):
+        pytest.fail(f"float reached: {value!r}")
+    if value is None or isinstance(value, (int, Fraction, str)):
+        return
+    if isinstance(value, MultiPoly):
+        for c in value.terms.values():
+            assert type(c) in (int, Fraction, Cyclotomic), repr(c)
+            check_exact(c)
+    elif isinstance(value, Cyclotomic):
+        assert all(type(c) in (int, Fraction) for c in value.coeffs), repr(value)
+    elif isinstance(value, Tensor):
+        check_exact(value.entries)
+    elif isinstance(value, GrammValue):
+        check_exact([value.base, value.exponent])
+    elif isinstance(value, VerifyReport):
+        check_exact(value.identities)
+    elif isinstance(value, IdentityRecord):
+        assert value.constant is None or type(value.constant) is Fraction, repr(value)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            check_exact(v)
+    else:
+        pytest.fail(f"unexpected value type {type(value).__name__}: {value!r}")
+
+
+@pytest.fixture(autouse=True)
+def built_values_are_exact(monkeypatch):
+    raw, init = MultiPoly._raw.__func__, Cyclotomic.__init__
+
+    def checked_raw(cls, variables, terms):
+        p = raw(cls, variables, terms)
+        check_exact(p)
+        return p
+
+    def checked_init(self, order, coeffs):
+        init(self, order, coeffs)
+        check_exact(self)
+
+    monkeypatch.setattr(MultiPoly, "_raw", classmethod(checked_raw))
+    monkeypatch.setattr(Cyclotomic, "__init__", checked_init)
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_verify_suites_stay_exact(name):
+    for seed in (1, 2, 3):
+        report = run_suite(name, seed, trials=2)
+        check_exact(report)
+        assert report.passed
+
+
+def _entries(rng, n, with_zeta):
+    a = MultiPoly.variable("a")
+    kinds = [lambda: rng.randint(-5, 5),
+             lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+             lambda: rng.randint(-2, 2) * a + rng.randint(-2, 2)]
+    if with_zeta:
+        kinds.append(lambda: rng.randint(-2, 2) * zeta(6) + rng.randint(-2, 2))
+    return [rng.choice(kinds)() for _ in range(n)]
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 2, 2, 2)])
+def test_project_k_stays_exact(shape):
+    rng = random.Random(len(shape))
+    # zeta6 entries only where eps = zeta(6): 2x2x2x2 projects with zeta(24)
+    t = Tensor(shape, _entries(rng, math.prod(shape), len(shape) == 3))
+    fact = 6 if len(shape) == 3 else 24
+    parts = [project_k(t, k) for k in range(fact)]
+    check_exact(parts)
+    assert sum(parts[1:], parts[0]) == t
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_binary_form_disc_stays_exact(degree):
+    rng = random.Random(degree)
+    z = zeta(6)
+    for coeff in (lambda: rng.randint(-9, 9),
+                  lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                  lambda: rng.randint(-3, 3) + rng.randint(-3, 3) * z):
+        f = MultiPoly(XY, {(degree - i, i): coeff() for i in range(degree + 1)})
+        disc = binary_form_disc(f, XY, degree=degree)
+        check_exact([disc, disc.as_scalar()])
+
+
+def test_hyperdet_and_gramm_forms_stay_exact():
+    rng = random.Random(5)
+    for shape in [(3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]:
+        t = Tensor(shape, _entries(rng, math.prod(shape), False))
+        check_exact(hyperdet(t))
+
+    def vec(n):
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+
+    form2 = Tensor((3, 3), _entries(rng, 9, False))
+    form3 = Tensor((2, 2, 2), [rng.randint(-5, 5) for _ in range(8)])
+    vectors2, vectors3 = [vec(3) for _ in range(3)], [vec(2) for _ in range(2)]
+    check_exact([gramm_form(form2, vectors2), gramm_form(form3, vectors3)])
+    check_exact([skew_gramm(form2, vectors2, k) for k in range(2)])
+    check_exact([skew_gramm(form3, vectors3, k) for k in range(6)])
+
+
+def test_cyclotomic_inverse_and_division_stay_exact():
+    rng = random.Random(9)
+    for m in (3, 4, 5, 6, 8, 12, 24):
+        z = zeta(m)
+        for _ in range(5):
+            x = sum((rng.randint(-4, 4) * z ** e for e in range(4)), Fraction(rng.randint(1, 4)))
+            y = rng.randint(1, 4) * z + rng.randint(-3, 3)
+            if not isinstance(x, Cyclotomic):  # the draw reduced to a rational
+                continue
+            check_exact([x.inverse(), x / y, y / x, x / 3, x / Fraction(2, 3), 5 / y,
+                         exact_quotient(x, y), exact_quotient(7, y)])
+
+
+def test_exact_quotient_types():
+    assert type(exact_quotient(6, 3)) is int and exact_quotient(6, 3) == 2
+    assert exact_quotient(-7, 2) == Fraction(-7, 2)
+    assert type(exact_quotient(Fraction(6), 3)) is int
+    assert type(exact_quotient(Fraction(1, 2), Fraction(1, 4))) is int
+    assert type(exact_quotient(3, Fraction(2))) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient(1, 0)
+
+
+def _integral_fractions(p: MultiPoly) -> list:
+    return [c for c in p.terms.values() if type(c) is Fraction and c.denominator == 1]
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = MultiPoly(XY, {(1, 0): Fraction(6, 3), (0, 1): True, (0, 0): Fraction(1, 2)})
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    assert type(MultiPoly.constant(Fraction(4)).terms[()]) is int
+    assert MultiPoly.variable("x").terms == {(1,): 1}
+    for text in ("4/2*x + 3*y - 6/3", "zeta6^3*x + zeta6^6", "(1/2*x + 1/2)*(2*x + 2)",
+                 "(zeta6 + 1)*(zeta6^5 + 1)*x", "1/2*x + 1/2*x - y"):
+        p = parse_poly(text, XY)
+        assert not _integral_fractions(p), (text, p.terms)
+        check_exact(p)
+    # a constant's value stays a Fraction, so ratios of values stay exact
+    assert type(MultiPoly.constant(3).as_scalar()) is Fraction

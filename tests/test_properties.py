@@ -1,0 +1,65 @@
+"""Property tests: ring axioms, exact division and exact quotients over mixed
+``int``, ``Fraction`` and ``zeta6`` coefficients."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hyperforms.poly import MultiPoly  # noqa: E402
+from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
+
+bounded = settings(max_examples=60, deadline=None, database=None)
+
+ints = st.integers(-9, 9)
+rationals = st.one_of(ints, st.fractions(-9, 9, max_denominator=9))
+scalars = st.one_of(rationals, st.builds(lambda a, b: a + b * zeta(6), rationals, rationals))
+
+
+@st.composite
+def polys(draw, variables=None):
+    vs = variables or draw(st.sampled_from([("x", "y"), ("y", "z"), ("x",)]))
+    exps = st.tuples(*[st.integers(0, 3)] * len(vs))
+    return MultiPoly(vs, draw(st.dictionaries(exps, scalars, max_size=4)))
+
+
+@bounded
+@given(polys(), polys(), polys())
+def test_multipoly_ring_axioms(p, q, r):
+    zero, one = MultiPoly.zero(), MultiPoly.constant(1)
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert p + zero == p and p - p == zero
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * one == p
+    assert p * (q + r) == p * q + p * r
+
+
+@bounded
+@given(polys(("x", "y")), polys(("x", "y")))
+def test_exact_div_inverts_mul(p, q):
+    assume(not q.is_zero())
+    assert (p * q).exact_div(q) == p
+
+
+@bounded
+@given(rationals, rationals)
+def test_exact_quotient_matches_fraction_division(a, b):
+    assume(b)
+    q = exact_quotient(a, b)
+    assert not isinstance(q, float)
+    assert q == Fraction(a) / Fraction(b)
+    assert type(q) is (int if q.denominator == 1 else Fraction)
+
+
+@bounded
+@given(st.sampled_from([3, 4, 5, 6, 8, 12]), st.lists(rationals, min_size=1, max_size=6))
+def test_cyclotomic_times_inverse_is_one(m, coeffs):
+    x = sum((c * zeta(m) ** e for e, c in enumerate(coeffs)), Fraction(0))
+    assume(isinstance(x, Cyclotomic))
+    assert x * x.inverse() == 1
