@@ -4,13 +4,14 @@ invariants, and the three-form Wronskian."""
 from __future__ import annotations
 
 from .errors import DomainError
-from .hyperdet import _bounded_degree, _sylvester_rows, det_rows, det_square
+from .hyperdet import _bezout_rows, _bounded_degree, _sylvester_rows, det_rows, det_square
 from .poly import MultiPoly, binary_vars
 from .tensor import Tensor
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
-    """Determinant of the Sylvester matrix of two binary forms.
+    """Determinant of the Sylvester matrix of two binary forms; forms of equal
+    degree n take it from their n x n Bezout matrix.
 
     Vanishes exactly when the forms share a projective root; bihomogeneous
     of degree (deg g, deg f) in the coefficients.
@@ -20,7 +21,7 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
     avec, bvec = f.binary_coefficients(xy), g.binary_coefficients(xy)
     m = _bounded_degree("resultant", len(avec) - 1, 1)
     n = _bounded_degree("resultant", len(bvec) - 1, 1)
-    return det_rows(_sylvester_rows(avec, bvec, m, n))
+    return det_rows(_bezout_rows(avec, bvec) if m == n else _sylvester_rows(avec, bvec, m, n))
 
 
 def hankel_matrix(f: MultiPoly, xy=("x", "y")) -> Tensor:

@@ -9,8 +9,9 @@ that form in the auxiliary variables.  A hardcoded degree-4 expansion for
 2x2x2 serves as an independent cross-check of the recursion.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
-the coefficients; higher degrees, up to 32, use the Sylvester resultant of
-the two partial derivatives, which also backs up the closed forms in tests.
+the coefficients; degrees 5 to 32, and resultants of two forms of equal
+degree, use Cayley's n x n Bezout matrix.  The Sylvester matrix serves for
+unequal degrees, and in tests as the oracle for both other routes.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ def det_square(t: Tensor) -> MultiPoly:
 # -- binary and ternary discriminants -----------------------------------------
 
 
-# Sylvester matrices grow with the square of the degree and their entries with
-# the coefficients; refuse forms beyond this degree before building one.
+# Bezout and Sylvester matrices have O(d^2) entries that grow with the
+# coefficients; refuse forms beyond this degree before building one.
 _MAX_DEGREE = 32
 
 
@@ -134,11 +135,26 @@ def _sylvester_rows(avec, bvec, m: int, n: int):
     return rows
 
 
+def _bezout_rows(avec, bvec):
+    """Cayley's symmetric n x n Bezout matrix of two coefficient vectors of
+    degree n, rows reversed: B[i][j] = B[i-1][j+1] + p[j+1]*q[i] - p[i]*q[j+1]
+    with p[k], q[k] the coefficients of x^k.  Res = (-1)^(n(n-1)/2) det B
+    (Gelfand, Kapranov, Zelevinsky 1994, ch. 12); reversing n rows gives that sign.
+    """
+    p, q, n = avec[::-1], bvec[::-1], len(avec) - 1
+    b = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entry = p[j + 1] * q[i] - p[i] * q[j + 1]
+            b[i][j] = b[j][i] = entry + b[i - 1][j + 1] if i and j + 1 < n else entry
+    return b[::-1]
+
+
 def _sylvester_disc(f: MultiPoly, xy, d: int) -> MultiPoly:
     """(-1)^(d(d-1)/2) * Res(df/dx, df/dy) / d^(d-2) for a binary form ``f``
     of formal degree ``d`` whose variables include ``xy``.
 
-    The route for d > 4, and the independent oracle for the closed forms.
+    The independent oracle for the closed forms and the Bezout route.
     """
     x, y = xy
     avec = f.partial(x).binary_coefficients(xy, d - 1)
@@ -177,7 +193,8 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
     Degrees 2-4 use the classical closed forms in the coefficients
     c0*x^d + c1*x^(d-1)*y + ...: b^2 - 4ac, the cubic discriminant, and
     (4I^3 - J^2)/27 with the quartic invariants I and J (Salmon).  Degrees 5
-    to 32 take the Sylvester resultant; higher degrees are refused.
+    to 32 take the resultant of the partials on their (d-1) x (d-1) Bezout
+    matrix; higher degrees are refused.
     Coefficients of ``f`` may involve further variables.  The degree is that
     of ``f`` in ``xy`` (``x^3*y`` is a quartic); ``degree``, when given, must
     equal it, and only the zero form needs it.
@@ -187,8 +204,10 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
         _bounded_degree("discriminant", degree, 2)
     cs = f.binary_coefficients(xy, degree)
     d = _bounded_degree("discriminant", len(cs) - 1, 2)
-    if d > 4:
-        return _sylvester_disc(f.extend_vars(xy), xy, d)
+    if d > 4:  # the coefficients of df/dx and df/dy, read off those of f
+        res = det_rows(_bezout_rows([(d - i) * c for i, c in enumerate(cs[:-1])],
+                                    [i * c for i, c in enumerate(cs) if i]))
+        return res * (-1) ** (d * (d - 1) // 2) / d ** (d - 2)
     return _closed_form_disc(cs)
 
 

@@ -11,9 +11,10 @@ from hyperforms.classical import (
     wronskian3,
 )
 from hyperforms.errors import DomainError
-from hyperforms.hyperdet import binary_form_disc
+from hyperforms.hyperdet import _sylvester_rows, binary_form_disc, det_rows
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
+from hyperforms.scalars import zeta
 
 XY = ("x", "y")
 
@@ -86,6 +87,41 @@ def test_resultant_bihomogeneous_degrees():
     r = sylvester_resultant(f, g)
     assert r.homogeneous_degree_in(("a0", "a1", "a2")) == 1
     assert r.homogeneous_degree_in(("b0", "b1")) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_equal_degree_resultant_matches_sylvester_oracle(n):
+    # equal degrees take the n x n Bezout matrix; the 2n x 2n Sylvester
+    # determinant is the oracle.  Integer, rational, Q(zeta6) and symbolic
+    # coefficients, forms divisible by x or by y, and pairs with a common factor
+    rng = random.Random(500 + n)
+    st = ("s", "t") + XY
+    s, t, x, y = (parse_poly(v, st) for v in st)
+    kinds = [lambda: rng.randint(-9, 9),
+             lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+             lambda: rng.randint(-3, 3) + rng.randint(-3, 3) * zeta(6),
+             lambda: rng.randint(-3, 3) * s + rng.randint(-3, 3) * t]
+
+    def form(degree, coeff):
+        while True:
+            f = sum((x ** (degree - i) * y ** i * coeff() for i in range(degree + 1)),
+                    MultiPoly.zero(st))
+            if f.homogeneous_degree_in(XY) == degree:
+                return f
+
+    for k, coeff in enumerate(kinds):
+        f, g, lin = form(n - 1, coeff), form(n - 1, coeff), form(1, coeff)
+        # one random pair, and one of four special pairs, a different one for
+        # each n, so that over n = 1..6 every kind meets all four
+        which = (k + n) % 4
+        special = [(x * f, form(n, coeff)), (form(n, coeff), y * g), (x * f, y * g),
+                   (lin * f, lin * g)][which]
+        for a, b in ((form(n, coeff), form(n, coeff)), special):
+            want = det_rows(_sylvester_rows(a.binary_coefficients(XY),
+                                            b.binary_coefficients(XY), n, n))
+            assert sylvester_resultant(a, b) == want, (str(a), str(b))
+        if which == 3:
+            assert sylvester_resultant(*special).is_zero()
 
 
 def test_resultant_zero_input_rejected():

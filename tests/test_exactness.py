@@ -97,7 +97,7 @@ def test_project_k_stays_exact(shape):
     assert sum(parts[1:], parts[0]) == t
 
 
-@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, 7, 8])
 def test_binary_form_disc_stays_exact(degree):
     rng = random.Random(degree)
     z = zeta(6)
@@ -107,6 +107,9 @@ def test_binary_form_disc_stays_exact(degree):
         f = MultiPoly(XY, {(degree - i, i): coeff() for i in range(degree + 1)})
         disc = binary_form_disc(f, XY, degree=degree)
         check_exact([disc, disc.as_scalar()])
+        # the Bezout route ends in an exact division, which stores an integral value as int
+        if degree > 4:
+            assert not _integral_fractions(disc), disc.terms
 
 
 def test_hyperdet_and_gramm_forms_stay_exact():

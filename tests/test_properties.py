@@ -1,5 +1,6 @@
 """Property tests: ring axioms, exact division and exact quotients over mixed
-``int``, ``Fraction`` and ``zeta6`` coefficients."""
+``int``, ``Fraction`` and ``zeta6`` coefficients, and equal-degree
+resultants."""
 
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hyperforms.classical import sylvester_resultant  # noqa: E402
+from hyperforms.hyperdet import _sylvester_rows, det_rows  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 
@@ -63,3 +66,22 @@ def test_cyclotomic_times_inverse_is_one(m, coeffs):
     x = sum((c * zeta(m) ** e for e, c in enumerate(coeffs)), Fraction(0))
     assume(isinstance(x, Cyclotomic))
     assert x * x.inverse() == 1
+
+
+@st.composite
+def equal_degree_pairs(draw):
+    # rational coefficients: a 12 x 12 Sylvester oracle over Q(zeta6) takes up
+    # to 0.1 s, and tests/test_classical.py covers zeta6 coefficients
+    n = draw(st.integers(1, 6))
+    coeffs = st.lists(rationals, min_size=n + 1, max_size=n + 1)
+    return n, [MultiPoly(("x", "y"), {(n - i, i): c for i, c in enumerate(draw(coeffs))})
+               for _ in range(2)]
+
+
+@bounded
+@given(equal_degree_pairs())
+def test_equal_degree_resultant_matches_sylvester(pair):
+    n, (f, g) = pair
+    assume(not f.is_zero() and not g.is_zero())
+    avec, bvec = f.binary_coefficients(("x", "y"), n), g.binary_coefficients(("x", "y"), n)
+    assert sylvester_resultant(f, g) == det_rows(_sylvester_rows(avec, bvec, n, n))

@@ -43,7 +43,7 @@ def _as_fraction(value):
     return Fraction(int(value.p), int(value.q))
 
 
-@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, 7, 8])
 def test_disc_matches_sympy_discriminant(degree):
     rng = random.Random(300 + degree)
     for _ in range(20):
@@ -52,7 +52,7 @@ def test_disc_matches_sympy_discriminant(degree):
         assert binary_form_disc(_form(cs)).as_scalar() == _as_fraction(want), cs
 
 
-@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
 def test_generic_disc_matches_sympy_discriminant(degree):
     names = [f"c{i}" for i in range(degree + 1)]
     text = " + ".join(f"{c}*x^{degree - i}*y^{i}" for i, c in enumerate(names))
@@ -66,8 +66,9 @@ def test_generic_disc_matches_sympy_discriminant(degree):
 
 def test_resultant_matches_sympy_resultant():
     rng = random.Random(401)
-    for _ in range(30):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
+    # thirty pairs of random degrees up to 4, then equal degrees up to 6
+    for degrees in [None] * 30 + [(n, n) for n in range(1, 7) for _ in range(3)]:
+        m, n = degrees or (rng.randint(1, 4), rng.randint(1, 4))
         a, b = _random_coeffs(rng, m), _random_coeffs(rng, n)
         # sympy 1.14 flips the sign when the first polynomial has the lower
         # degree and mn is odd (resultant(x, x^3 + 1) is -1, the Sylvester
