@@ -27,7 +27,7 @@ from .parser import parse_poly
 from .poly import MultiPoly
 from .polarisation import hyperhessian, hyperresultant, jacobi_form, jacobi_sequence, polarize
 from .scalars import Cyclotomic, zeta
-from .tensor import MultiIndexSet, Tensor, multi_indices
+from .tensor import Tensor, multi_indices
 
 __all__ = [
     "Cyclotomic",
@@ -35,7 +35,6 @@ __all__ = [
     "Format",
     "GrammValue",
     "HyperformsError",
-    "MultiIndexSet",
     "MultiPoly",
     "OrbitTable",
     "ParseError",

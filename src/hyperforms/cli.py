@@ -173,7 +173,8 @@ _COMMANDS = (
      (_TENSOR, _arg("--k", type=int, required=True, help="component index, 0 <= k < d!")),
      lambda a: project_k(_read_tensor(a.tensor), a.k), _emit_tensor),
     ("verify", "run a seeded verification suite",
-     (_arg("--suite", required=True, help=f"one of: {', '.join(SUITES)}, or all"),
+     (_arg("--suite", required=True, choices=(*SUITES, "all"), metavar="SUITE",
+           help=f"one of: {', '.join(SUITES)}, or all"),
       _arg("--seed", type=int, default=0),
       _arg("--trials", type=int, default=None),
       _arg("--range", type=int, default=9, help="coefficient range [-R, R]")),

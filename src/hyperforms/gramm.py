@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import DomainError, UnsupportedFormatError
-from .hyperdet import hyperdet
+from .errors import DomainError
+from .hyperdet import hyperdet, hyperdet_degree
 from .poly import MultiPoly
 from .scalars import as_fraction, scalar_pow, zeta
 from .tensor import Tensor, check_shape
@@ -168,13 +168,9 @@ class GrammValue:
         return f"GrammValue(base={self.base}, exponent={self.exponent})"
 
 
-def _gramm_disc_degree(d: int, m: int) -> int:
-    if d == 2 and 1 <= m <= 6:
-        return m
-    if d == 3 and m == 2:
-        return 4
-    raise UnsupportedFormatError(
-        f"Gramm form unsupported for {m} vectors under a {d}-linear form")
+def _exponent(d: int, m: int) -> Fraction:
+    """m/(d*deg D), D the hyperdeterminant of the m^d Gramm tensor."""
+    return Fraction(m, d * hyperdet_degree((m,) * d))
 
 
 def gramm_form(form: Tensor, vectors) -> GrammValue:
@@ -185,10 +181,8 @@ def gramm_form(form: Tensor, vectors) -> GrammValue:
     """
     d, _ = _hypercubic_dims(form)
     vecs = list(vectors)
-    m = len(vecs)
-    deg = _gramm_disc_degree(d, m)
-    exponent = Fraction(m, d * deg)
-    if m < d:
+    exponent = _exponent(d, len(vecs))
+    if len(vecs) < d:
         return GrammValue(MultiPoly.zero(form.vars), exponent)
     return GrammValue(hyperdet(gramm_tensor(form, vecs)), exponent)
 
@@ -197,7 +191,5 @@ def skew_gramm(form: Tensor, vectors, k: int) -> GrammValue:
     """Gramm form of the eps^k-skew part of the Gramm tensor."""
     d, _ = _hypercubic_dims(form)
     vecs = list(vectors)
-    m = len(vecs)
-    deg = _gramm_disc_degree(d, m)
-    exponent = Fraction(m, d * deg)
+    exponent = _exponent(d, len(vecs))
     return GrammValue(hyperdet(project_k(gramm_tensor(form, vecs), k)), exponent)

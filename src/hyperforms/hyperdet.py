@@ -31,7 +31,8 @@ class Format(enum.Enum):
     NONEXISTENT = "nonexistent"
 
 
-_SUPPORTED_SORTED = ([2, 2, 2], [2, 2, 3], [2, 2, 2, 2])
+# hyperdeterminant degree by sorted shape; a k x k matrix (k <= 6) has degree k
+_DEGREES = {(2, 2, 2): 4, (2, 2, 3): 6, (2, 2, 2, 2): 24}
 
 
 def classify_format(shape) -> Format:
@@ -46,13 +47,30 @@ def classify_format(shape) -> Format:
         return Format.NONEXISTENT
     if len(shape) == 2 and shape[0] == shape[1]:
         return Format.SQUARE
-    if sorted(shape) in _SUPPORTED_SORTED:
+    if tuple(sorted(shape)) in _DEGREES:
         return Format.SUPPORTED
     return Format.ADMISSIBLE_UNIMPLEMENTED
 
 
 def _shape_str(shape) -> str:
     return "x".join(str(n) for n in shape)
+
+
+def hyperdet_degree(shape) -> int:
+    """Degree in the entries of the hyperdeterminant on format ``shape``.  Raises
+    DomainError when none exists (or a square exceeds 6x6), UnsupportedFormatError
+    for admissible formats outside the implemented set."""
+    fmt = classify_format(shape)
+    if fmt is Format.NONEXISTENT:
+        raise DomainError(f"hyperdeterminant does not exist for format {_shape_str(shape)}")
+    if fmt is Format.ADMISSIBLE_UNIMPLEMENTED:
+        raise UnsupportedFormatError(f"format {_shape_str(shape)} unsupported")
+    if fmt is Format.SUPPORTED:
+        return _DEGREES[tuple(sorted(shape))]
+    k = shape[0]
+    if k > 6:
+        raise DomainError(f"square determinant limited to 6x6, got {k}x{k}")
+    return k
 
 
 # -- exact determinants ------------------------------------------------------
@@ -108,9 +126,7 @@ def det_square(t: Tensor) -> MultiPoly:
     """Determinant of a k x k matrix of polynomials, k <= 6."""
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DomainError(f"not a square matrix: shape {_shape_str(t.shape)}")
-    k = t.shape[0]
-    if k > 6:
-        raise DomainError(f"square determinant limited to 6x6, got {k}x{k}")
+    k = hyperdet_degree(t.shape)  # refuses squares above 6x6
     rows = [[t[(i, j)] for j in range(k)] for i in range(k)]
     return det_rows(rows)
 
@@ -255,24 +271,16 @@ def _schlaefli(t: Tensor) -> MultiPoly:
     form = det_square(pencil) if pencil.ndim == 2 else _schlaefli(pencil)
     if len(u) == 3:
         return ternary_quadratic_disc(form, u)
-    # a 2x2 determinant is a quadratic in u, a 2x2x2 hyperdeterminant a quartic
-    return binary_form_disc(form, u, degree=2 * (t.ndim - 2))
+    # the pencil is linear in u, so its hyperdeterminant has that degree in u
+    return binary_form_disc(form, u, degree=hyperdet_degree(pencil.shape))
 
 
 def hyperdet(t: Tensor) -> MultiPoly:
     """Hyperdeterminant of a tensor on a supported format.
 
     k x k matrices give the determinant; 2x2x2, 2x2x3 (any axis order) and
-    2x2x2x2 go through the recursive Schlaefli step.  Raises DomainError when no
-    hyperdeterminant exists for the format and UnsupportedFormatError for
-    admissible formats outside the implemented set.
+    2x2x2x2 go through the recursive Schlaefli step.  Raises as
+    ``hyperdet_degree`` does on formats outside that set.
     """
-    fmt = classify_format(t.shape)
-    if fmt is Format.NONEXISTENT:
-        raise DomainError(
-            f"hyperdeterminant does not exist for format {_shape_str(t.shape)}")
-    if fmt is Format.ADMISSIBLE_UNIMPLEMENTED:
-        raise UnsupportedFormatError(f"format {_shape_str(t.shape)} unsupported")
-    if fmt is Format.SQUARE:
-        return det_square(t)
-    return _schlaefli(t)
+    hyperdet_degree(t.shape)
+    return det_square(t) if t.ndim == 2 else _schlaefli(t)

@@ -13,10 +13,10 @@ import functools
 import itertools
 import math
 
-from .errors import DomainError, UnsupportedFormatError
-from .hyperdet import hyperdet
+from .errors import DomainError
+from .hyperdet import hyperdet, hyperdet_degree
 from .poly import MultiPoly
-from .tensor import MultiIndexSet, Tensor, check_shape
+from .tensor import Tensor, check_shape, multi_indices
 
 
 def _form_degree(f: MultiPoly, geo) -> int:
@@ -57,10 +57,9 @@ def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
         raise DomainError(f"key weight {total} exceeds form degree {k}")
     # a slot of weight km has C(n + km - 1, km) multi-indices in n variables
     shape = check_shape(math.comb(len(geo) + km - 1, km) for km in key)
-    sets = [MultiIndexSet(len(geo), km) for km in key]
     derivs = _derivatives(f, geo)
     entries = []
-    for combo in itertools.product(*(s.indices for s in sets)):
+    for combo in itertools.product(*(multi_indices(len(geo), km) for km in key)):
         alpha = tuple(sum(parts) for parts in zip(*combo))
         entries.append(derivs(alpha))
     return Tensor(shape, entries, f.vars)
@@ -96,28 +95,19 @@ def jacobi_form(forms, key, geo_vars) -> Tensor:
     return Tensor.from_function(base + (len(forms),), lambda idx: pols[idx[-1]][idx[:-1]])
 
 
-_HYPERRESULTANT_FORMATS = {(2, 2, 2), (2, 3, 2), (2, 2, 3)}  # (nvars, m, degree)
-
-
 def hyperresultant(forms, geo_vars) -> MultiPoly:
     """Hyperdeterminant of the full first-order Jacobi form of a system.
 
-    Implemented for binary systems whose Jacobi form lands on a supported
-    hyperdeterminant format: two or three quadratics (2x2x2, 2x2x3) and two
-    cubics (2x2x2x2).
+    m forms of degree k in n variables give the format n x ... x n (k times) x m,
+    so this answers wherever ``hyperdet`` does: n linear forms in n <= 6
+    variables, two or three binary quadratics and two binary cubics.
     """
     forms = list(forms)
     geo = tuple(geo_vars)
     if not forms:
         raise DomainError("empty system of forms")
     k = _system_degree(forms, geo)
-    m = len(forms)
-    sig = (len(geo), m, k)
-    if sig not in _HYPERRESULTANT_FORMATS:
-        shape = "x".join([str(len(geo))] * k + [str(m)])
-        raise UnsupportedFormatError(
-            f"hyperresultant of {m} forms of degree {k} in {len(geo)} variables "
-            f"needs format {shape}, which is unsupported")
+    hyperdet_degree((len(geo),) * k + (len(forms),))  # refuse before any derivative
     return hyperdet(jacobi_form(forms, (1,) * k, geo))
 
 

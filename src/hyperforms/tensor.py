@@ -50,33 +50,6 @@ def multi_indices(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(nvars, degree))
 
 
-class MultiIndexSet:
-    """The ordered set of degree-k multi-indices in n variables."""
-
-    __slots__ = ("nvars", "degree", "indices", "_pos")
-
-    def __init__(self, nvars: int, degree: int):
-        self.nvars = nvars
-        self.degree = degree
-        self.indices = multi_indices(nvars, degree)
-        self._pos = {idx: i for i, idx in enumerate(self.indices)}
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.indices[i]
-
-    def position(self, idx) -> int:
-        return self._pos[tuple(idx)]
-
-    def __repr__(self) -> str:
-        return f"MultiIndexSet(nvars={self.nvars}, degree={self.degree})"
-
-
 def fresh_names(avoid, count: int, base: str = "u") -> tuple[str, ...]:
     """Deterministic variable names not colliding with ``avoid``."""
     taken = set(avoid)

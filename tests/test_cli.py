@@ -168,6 +168,22 @@ def test_hyperresultant_unsupported_exit_4(capsys):
     assert "2x2x2x2x2" in err
 
 
+def test_hyperresultant_nonexistent_format_exit_3(capsys):
+    code, _, err = run(capsys, "hyperresultant", "--f", "x^2", "--f", "y^2",
+                       "--f", "x*y", "--f", "x^2 + y^2", "--vars", "x,y")
+    assert code == 3
+    assert "does not exist" in err and "2x2x4" in err
+
+
+def test_gramm_seven_vectors_exit_3(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(Tensor.zeros((7, 7)).to_json())
+    vectors = ";".join(",".join("1" if i == j else "0" for j in range(7)) for i in range(7))
+    code, _, err = run(capsys, "gramm", "--form", str(path), "--vectors", vectors)
+    assert code == 3
+    assert "6x6" in err
+
+
 def test_wronskian(capsys):
     code, out, _ = run(capsys, "wronskian", "--f", "x^2", "--f", "x*y",
                        "--f", "y^2", "--vars", "x,y")
@@ -240,10 +256,10 @@ def test_verify_all_json_wrapper(capsys):
     assert len(data["reports"]) == 12
 
 
-def test_verify_unknown_suite_exit_3(capsys):
+def test_verify_unknown_suite_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
-    assert code == 3
-    assert "unknown suite" in err
+    assert code == 2
+    assert "invalid choice: 'nope'" in err and "usage:" in err
 
 
 @pytest.mark.parametrize("flag, value, complaint", [

@@ -299,6 +299,27 @@ def test_gramm_form_unsupported_shape():
         gramm_form(form, [[1, 2]])
 
 
+def test_gramm_exponent_follows_the_hyperdet_degree():
+    # 2 vectors under a 4-linear form: a 2x2x2x2 hyperdeterminant, degree 24
+    rng = random.Random(109)
+    form = rand_tensor(rng, (2, 2, 2, 2), bound=3)
+    vecs = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(-1)]]
+    assert gramm_form(form, vecs).exponent == Fraction(1, 48)
+    for k in (0, 5, 23):
+        assert skew_gramm(form, vecs, k).exponent == Fraction(1, 48)
+    assert gramm_form(rand_tensor(rng, (2, 2)), vecs).exponent == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("d, m", [(2, 7), (2, 8), (1, 2), (1, 3)])
+def test_gramm_beyond_hyperdet_formats_is_domain_error(d, m):
+    # 7x7 and 8x8 exceed the 6x6 determinant; m >= 2 vectors under a linear
+    # form give an m-vector, which has no hyperdeterminant
+    form = Tensor.zeros((m,) * d)
+    vecs = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    with pytest.raises(DomainError):
+        gramm_form(form, vecs)
+
+
 # -- skew gramm forms ------------------------------------------------------------------------
 
 

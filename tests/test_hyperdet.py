@@ -12,6 +12,7 @@ from hyperforms.hyperdet import (
     classify_format,
     det_square,
     hyperdet,
+    hyperdet_degree,
     ternary_quadratic_disc,
 )
 from hyperforms.parser import parse_poly
@@ -60,6 +61,34 @@ def test_nonexistent_raises_domain_error():
 def test_unimplemented_raises_unsupported():
     with pytest.raises(UnsupportedFormatError, match="unsupported"):
         hyperdet(Tensor.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(k, k) for k in range(1, 7)] + [
+    (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)],
+    ids=lambda shape: "x".join(map(str, shape)))
+def test_degree_table_matches_homogeneity(shape):
+    # hyperdet(2t) == 2^deg * hyperdet(t) certifies the tabled degree
+    rng = random.Random(sum(shape) * 31 + len(shape))
+    t = rand_tensor(rng, shape, bound=4)
+    while hyperdet(t).is_zero():
+        t = rand_tensor(rng, shape, bound=4)
+    doubled = t.map_entries(lambda p: p * 2)
+    assert hyperdet(doubled) == 2 ** hyperdet_degree(shape) * hyperdet(t)
+
+
+@pytest.mark.parametrize("shape, error, text", [
+    ((4, 2), DomainError, "does not exist for format 4x2"),
+    ((2, 3), DomainError, "does not exist for format 2x3"),
+    ((2,), DomainError, "does not exist for format 2"),
+    ((7, 7), DomainError, "limited to 6x6"),
+    ((3, 3, 3), UnsupportedFormatError, "format 3x3x3 unsupported"),
+    ((1,), UnsupportedFormatError, "format 1 unsupported"),
+])
+def test_degree_raises_as_hyperdet_does(shape, error, text):
+    with pytest.raises(error, match=text):
+        hyperdet_degree(shape)
+    with pytest.raises(error, match=text):
+        hyperdet(Tensor.zeros(shape))
 
 
 # -- square determinants ---------------------------------------------------------------

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from hyperforms.classical import hankel_matrix
+from hyperforms.classical import hankel_matrix, sylvester_resultant
 from hyperforms.errors import DomainError, UnsupportedFormatError
+from hyperforms.hyperdet import det_rows
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.polarisation import (
@@ -278,6 +279,34 @@ def test_hyperresultant_cubic_pair_shared_root_vanishes():
 def test_hyperresultant_unsupported_format_named():
     with pytest.raises(UnsupportedFormatError, match="2x2x2x2x2"):
         hyperresultant([P("x^4 + y^4"), P("x^4 - y^4")], XY)
+
+
+def test_hyperresultant_of_two_linear_forms_is_their_resultant():
+    rng = random.Random(73)
+    for _ in range(10):
+        f, g = random_form(rng, 1), random_form(rng, 1)
+        assert hyperresultant([f, g], XY) == sylvester_resultant(f, g)
+    assert hyperresultant([P("2*x + 3*y"), P("5*x + y")], XY) == -13
+
+
+def test_hyperresultant_of_three_linear_forms_is_their_determinant():
+    xyz = ("x", "y", "z")
+    rng = random.Random(79)
+    for _ in range(10):
+        coeffs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        forms = [MultiPoly(xyz, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+                 for a, b, c in coeffs]
+        rows = [[MultiPoly.constant(c) for c in row] for row in coeffs]
+        assert hyperresultant(forms, xyz) == det_rows(rows)
+
+
+@pytest.mark.parametrize("texts, shape", [
+    (("x^2", "y^2", "x*y", "x^2 + y^2"), "2x2x4"),
+    (("x", "y", "x + y"), "2x3"),
+])
+def test_hyperresultant_nonexistent_format_is_domain_error(texts, shape):
+    with pytest.raises(DomainError, match=f"does not exist for format {shape}$"):
+        hyperresultant([P(t) for t in texts], XY)
 
 
 # -- jacobi sequence --------------------------------------------------------------------

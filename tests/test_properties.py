@@ -1,7 +1,8 @@
 """Property tests: ring axioms, exact division and exact quotients over mixed
-``int``, ``Fraction`` and ``zeta6`` coefficients, and equal-degree
-resultants."""
+``int``, ``Fraction`` and ``zeta6`` coefficients, equal-degree resultants, and
+hyperresultants of random systems against the format rule."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hyperforms.classical import sylvester_resultant  # noqa: E402
-from hyperforms.hyperdet import _sylvester_rows, det_rows  # noqa: E402
+from hyperforms.errors import DomainError, UnsupportedFormatError  # noqa: E402
+from hyperforms.hyperdet import _sylvester_rows, det_rows, hyperdet_degree  # noqa: E402
+from hyperforms.polarisation import hyperresultant  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 
@@ -85,3 +88,38 @@ def test_equal_degree_resultant_matches_sylvester(pair):
     assume(not f.is_zero() and not g.is_zero())
     avec, bvec = f.binary_coefficients(("x", "y"), n), g.binary_coefficients(("x", "y"), n)
     assert sylvester_resultant(f, g) == det_rows(_sylvester_rows(avec, bvec, n, n))
+
+
+@st.composite
+def systems(draw):
+    # 1-3 variables, 1-4 forms of one degree 1-3; in some systems one form is zero
+    geo = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    exps = [e for e in itertools.product(range(k + 1), repeat=len(geo)) if sum(e) == k]
+    coeffs = st.lists(ints, min_size=len(exps), max_size=len(exps)).filter(any)
+    forms = [MultiPoly(geo, dict(zip(exps, draw(coeffs)))) for _ in range(m)]
+    zeroed = draw(st.integers(0, 3 * m))  # below m: that form is zero
+    if zeroed < m:
+        forms[zeroed] = MultiPoly.zero(geo)
+    return geo, k, forms
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(systems())
+def test_hyperresultant_answers_or_raises_as_hyperdet_degree(system):
+    geo, k, forms = system
+    shape = (len(geo),) * k + (len(forms),)
+    try:
+        hyperdet_degree(shape)
+        expected = None
+    except (DomainError, UnsupportedFormatError) as exc:
+        expected = type(exc)
+    if any(f.is_zero() for f in forms):
+        expected = DomainError
+    try:
+        value = hyperresultant(forms, geo)
+    except (DomainError, UnsupportedFormatError) as exc:
+        assert type(exc) is expected, exc
+    else:
+        assert expected is None
+        assert isinstance(value, MultiPoly)

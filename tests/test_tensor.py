@@ -8,7 +8,7 @@ import pytest
 from hyperforms.errors import DomainError
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
-from hyperforms.tensor import MultiIndexSet, Tensor, check_shape, fresh_names, multi_indices
+from hyperforms.tensor import Tensor, check_shape, fresh_names, multi_indices
 
 
 def const_tensor(shape, values):
@@ -42,13 +42,6 @@ def test_multi_indices_counts_match_binomial():
             assert len(got) == math.comb(nvars - 1 + degree, degree)
             assert len(set(got)) == len(got)
             assert all(sum(e) == degree for e in got)
-
-
-def test_multi_index_set_positions():
-    s = MultiIndexSet(2, 2)
-    assert s.position((2, 0)) == 0
-    assert s.position((0, 2)) == 2
-    assert len(s) == 3
 
 
 # -- indexing -----------------------------------------------------------------------
