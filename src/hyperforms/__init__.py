@@ -15,12 +15,11 @@ from .gramm import (
     skew_gramm,
 )
 from .hyperdet import (
-    Format,
     binary_form_disc,
     cayley_hyperdet_222,
-    classify_format,
     det_square,
     hyperdet,
+    hyperdet_degree,
     ternary_quadratic_disc,
 )
 from .parser import parse_poly
@@ -32,7 +31,6 @@ from .tensor import Tensor, multi_indices
 __all__ = [
     "Cyclotomic",
     "DomainError",
-    "Format",
     "GrammValue",
     "HyperformsError",
     "MultiPoly",
@@ -43,13 +41,13 @@ __all__ = [
     "apolar_quartic",
     "binary_form_disc",
     "cayley_hyperdet_222",
-    "classify_format",
     "det_square",
     "gramm_form",
     "gramm_tensor",
     "hankel_matrix",
     "hankel_quartic",
     "hyperdet",
+    "hyperdet_degree",
     "hyperhessian",
     "hyperresultant",
     "jacobi_form",

@@ -16,61 +16,42 @@ unequal degrees, and in tests as the oracle for both other routes.
 
 from __future__ import annotations
 
-import enum
-from fractions import Fraction
+import functools
 
 from .errors import DomainError, UnsupportedFormatError
 from .poly import MultiPoly, merge_vars
 from .tensor import Tensor, check_shape, fresh_names
 
 
-class Format(enum.Enum):
-    SQUARE = "square-matrix"
-    SUPPORTED = "supported-hyperdet"
-    ADMISSIBLE_UNIMPLEMENTED = "admissible-unimplemented"
-    NONEXISTENT = "nonexistent"
-
-
 # hyperdeterminant degree by sorted shape; a k x k matrix (k <= 6) has degree k
 _DEGREES = {(2, 2, 2): 4, (2, 2, 3): 6, (2, 2, 2, 2): 24}
-
-
-def classify_format(shape) -> Format:
-    """Classify a tensor shape for hyperdeterminant purposes.
-
-    A hyperdeterminant exists iff no dimension exceeds the sum of the others
-    (counting each as n - 1).
-    """
-    shape = check_shape(shape)
-    slack = sum(n - 1 for n in shape)
-    if any(2 * (n - 1) > slack for n in shape):
-        return Format.NONEXISTENT
-    if len(shape) == 2 and shape[0] == shape[1]:
-        return Format.SQUARE
-    if tuple(sorted(shape)) in _DEGREES:
-        return Format.SUPPORTED
-    return Format.ADMISSIBLE_UNIMPLEMENTED
 
 
 def _shape_str(shape) -> str:
     return "x".join(str(n) for n in shape)
 
 
-def hyperdet_degree(shape) -> int:
-    """Degree in the entries of the hyperdeterminant on format ``shape``.  Raises
-    DomainError when none exists (or a square exceeds 6x6), UnsupportedFormatError
-    for admissible formats outside the implemented set."""
-    fmt = classify_format(shape)
-    if fmt is Format.NONEXISTENT:
+@functools.lru_cache(maxsize=None)
+def hyperdet_degree(shape: tuple[int, ...]) -> int:
+    """Degree in the entries of the hyperdeterminant on format ``shape`` (a tuple).
+
+    A hyperdeterminant exists iff no dimension exceeds the sum of the others
+    (counting each as n - 1); DomainError otherwise, and for squares above 6x6.
+    Admissible formats outside the implemented set raise UnsupportedFormatError.
+    """
+    dims = check_shape(shape)
+    slack = sum(n - 1 for n in dims)
+    if any(2 * (n - 1) > slack for n in dims):
         raise DomainError(f"hyperdeterminant does not exist for format {_shape_str(shape)}")
-    if fmt is Format.ADMISSIBLE_UNIMPLEMENTED:
+    if len(dims) == 2 and dims[0] == dims[1]:
+        k = dims[0]
+        if k > 6:
+            raise DomainError(f"square determinant limited to 6x6, got {k}x{k}")
+        return k
+    degree = _DEGREES.get(tuple(sorted(dims)))
+    if degree is None:
         raise UnsupportedFormatError(f"format {_shape_str(shape)} unsupported")
-    if fmt is Format.SUPPORTED:
-        return _DEGREES[tuple(sorted(shape))]
-    k = shape[0]
-    if k > 6:
-        raise DomainError(f"square determinant limited to 6x6, got {k}x{k}")
-    return k
+    return degree
 
 
 # -- exact determinants ------------------------------------------------------
@@ -79,8 +60,9 @@ def hyperdet_degree(shape) -> int:
 def det_rows(rows) -> MultiPoly:
     """Determinant of a square list-of-lists of polynomials.
 
-    Cofactor expansion for n <= 3; Bareiss fraction-free elimination with
-    exact division otherwise, so entries never leave the polynomial ring.
+    The empty matrix gives 1 and n == 3 uses cofactor expansion.  Every other
+    size goes through Bareiss fraction-free elimination with exact division,
+    so entries never leave the polynomial ring; for n <= 2 it divides nothing.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -89,10 +71,6 @@ def det_rows(rows) -> MultiPoly:
     m = [[p.with_vars(merged) for p in row] for row in rows]
     if n == 0:
         return MultiPoly.constant(1)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if n == 3:
         return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -164,20 +142,6 @@ def _bezout_rows(avec, bvec):
             entry = p[j + 1] * q[i] - p[i] * q[j + 1]
             b[i][j] = b[j][i] = entry + b[i - 1][j + 1] if i and j + 1 < n else entry
     return b[::-1]
-
-
-def _sylvester_disc(f: MultiPoly, xy, d: int) -> MultiPoly:
-    """(-1)^(d(d-1)/2) * Res(df/dx, df/dy) / d^(d-2) for a binary form ``f``
-    of formal degree ``d`` whose variables include ``xy``.
-
-    The independent oracle for the closed forms and the Bezout route.
-    """
-    x, y = xy
-    avec = f.partial(x).binary_coefficients(xy, d - 1)
-    bvec = f.partial(y).binary_coefficients(xy, d - 1)
-    res = det_rows(_sylvester_rows(avec, bvec, d - 1, d - 1))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return (res * sign) / Fraction(d) ** (d - 2)
 
 
 def _closed_form_disc(cs) -> MultiPoly:

@@ -448,8 +448,11 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
     fn, default_trials = SUITES[name]
     rng = random.Random(seed)
     report = VerifyReport(name, seed, coeff_range)
-    report.identities = fn(rng, trials if trials is not None else default_trials,
-                           coeff_range)
+    try:
+        report.identities = fn(rng, trials if trials is not None else default_trials,
+                               coeff_range)
+    except ValueError as exc:  # a draw the coefficient range cannot satisfy
+        raise ValueError(f"suite {name}: {exc}") from exc
     return report
 
 

@@ -276,7 +276,8 @@ def test_verify_range_too_small_exit_2(capsys):
     code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "4",
                          "--range", "0", "--trials", "2")
     assert (code, out) == (2, "")
-    assert err == "error: coefficient range too small: 1000 draws gave no degree-2 form\n"
+    assert err == ("error: suite prop21: coefficient range too small: "
+                   "1000 draws gave no degree-2 form\n")
 
 
 @pytest.mark.parametrize("names", ["x", "x,y,z"])

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import hyperforms
 from hyperforms.errors import DomainError, UnsupportedFormatError
 from hyperforms.hyperdet import (
-    Format,
-    _sylvester_disc,
+    _sylvester_rows,
     binary_form_disc,
     cayley_hyperdet_222,
-    classify_format,
+    det_rows,
     det_square,
     hyperdet,
     hyperdet_degree,
@@ -31,6 +31,18 @@ def const_tensor(shape, values):
     return Tensor(shape, [MultiPoly.constant(v) for v in values])
 
 
+def _sylvester_disc(f, xy, d):
+    """(-1)^(d(d-1)/2) * Res(df/dx, df/dy) / d^(d-2) for a binary form ``f``
+    of formal degree ``d`` whose variables include ``xy``, on the Sylvester
+    matrix: the independent oracle for the closed forms and the Bezout route."""
+    x, y = xy
+    avec = f.partial(x).binary_coefficients(xy, d - 1)
+    bvec = f.partial(y).binary_coefficients(xy, d - 1)
+    res = det_rows(_sylvester_rows(avec, bvec, d - 1, d - 1))
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return (res * sign) / Fraction(d) ** (d - 2)
+
+
 def rand_tensor(rng, shape, bound=9):
     size = 1
     for n in shape:
@@ -42,15 +54,29 @@ def rand_tensor(rng, shape, bound=9):
 
 
 def test_classification():
-    assert classify_format((3, 3)) is Format.SQUARE
-    assert classify_format((2, 2, 2)) is Format.SUPPORTED
-    assert classify_format((2, 3, 2)) is Format.SUPPORTED
-    assert classify_format((3, 2, 2)) is Format.SUPPORTED
-    assert classify_format((2, 2, 2, 2)) is Format.SUPPORTED
-    assert classify_format((4, 2)) is Format.NONEXISTENT
-    assert classify_format((2, 2, 4)) is Format.NONEXISTENT
-    assert classify_format((3, 3, 3)) is Format.ADMISSIBLE_UNIMPLEMENTED
-    assert classify_format((2, 2, 2, 2, 2)) is Format.ADMISSIBLE_UNIMPLEMENTED
+    assert hyperdet_degree((3, 3)) == 3
+    assert hyperdet_degree((2, 2, 2)) == 4
+    assert hyperdet_degree((2, 3, 2)) == 6
+    assert hyperdet_degree((3, 2, 2)) == 6
+    assert hyperdet_degree((2, 2, 2, 2)) == 24
+
+
+def test_degree_is_cached_per_shape():
+    t = rand_tensor(random.Random(5), (2, 2, 2, 2))
+    hyperdet(t)
+    before = hyperdet_degree.cache_info()
+    hyperdet(t)
+    assert hyperdet_degree.cache_info().misses == before.misses
+    with pytest.raises(UnsupportedFormatError):
+        hyperdet_degree((3, 3, 3))  # refusals are not cached
+    assert hyperdet_degree.cache_info().currsize == before.currsize
+
+
+def test_public_api_resolves():
+    for name in hyperforms.__all__:
+        getattr(hyperforms, name)
+    assert "hyperdet_degree" in hyperforms.__all__
+    assert not any(hasattr(hyperforms, name) for name in ("classify_format", "Format"))
 
 
 def test_nonexistent_raises_domain_error():
@@ -83,6 +109,8 @@ def test_degree_table_matches_homogeneity(shape):
     ((7, 7), DomainError, "limited to 6x6"),
     ((3, 3, 3), UnsupportedFormatError, "format 3x3x3 unsupported"),
     ((1,), UnsupportedFormatError, "format 1 unsupported"),
+    ((2, 2, 4), DomainError, "does not exist"),
+    ((2, 2, 2, 2, 2), UnsupportedFormatError, "unsupported"),
 ])
 def test_degree_raises_as_hyperdet_does(shape, error, text):
     with pytest.raises(error, match=text):
@@ -122,9 +150,9 @@ def test_det_multilinear_in_rows():
 
 
 def test_det_bareiss_matches_cofactor_for_4x4():
-    # oracle: Laplace expansion along the first row
+    # oracle: Laplace expansion along the first row, for every size up to 4;
+    # a zero (0,0) entry forces the row swap
     rng = random.Random(11)
-    vals = [[Fraction(rng.randint(-9, 9)) for _ in range(4)] for _ in range(4)]
 
     def laplace(m):
         if len(m) == 1:
@@ -136,8 +164,15 @@ def test_det_bareiss_matches_cofactor_for_4x4():
             total += term if j % 2 == 0 else -term
         return total
 
-    t = const_tensor((4, 4), [c for row in vals for c in row])
-    assert det_square(t).as_scalar() == laplace(vals)
+    for n in range(1, 5):
+        for zero_pivot in (False, True):
+            vals = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+            if zero_pivot:
+                vals[0][0] = Fraction(0)
+            t = const_tensor((n, n), [c for row in vals for c in row])
+            assert det_square(t).as_scalar() == laplace(vals), vals
+    x, y, z = (P(v, ("x", "y", "z")) for v in "xyz")
+    assert det_rows([[MultiPoly.zero(), x], [y, z]]) == -(x * y)
 
 
 def test_det_rejects_nonsquare_and_large():

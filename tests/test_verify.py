@@ -62,6 +62,11 @@ def test_negative_trials_and_range_refused():
         assert run_suite(name, seed=1, trials=1, coeff_range=0).passed
 
 
+def test_range_too_small_names_the_suite():
+    with pytest.raises(ValueError, match="suite prop21: coefficient range too small"):
+        run_suite("prop21", seed=4, trials=2, coeff_range=0)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError, match="unknown suite"):
         run_suite("nonsense", seed=1)
