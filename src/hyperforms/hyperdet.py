@@ -88,7 +88,7 @@ def det_rows(rows) -> MultiPoly:
                 return MultiPoly.zero(merged)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                elt = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                elt = MultiPoly.dot(merged, (m[k][k], m[i][k]), (m[i][j], -m[k][j]))
                 if prev is not None:
                     quot = elt.exact_div(prev)
                     if quot is None:  # cannot happen for true minors

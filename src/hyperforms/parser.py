@@ -151,7 +151,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing token {text!r}", pos)
-        return MultiPoly(p.vars, p.terms)  # stores each integral coefficient as an int
+        return p
 
 
 def parse_poly(text: str, variables) -> MultiPoly:

@@ -44,6 +44,22 @@ def _coerce_coeff(c):
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
 
 
+def _addmul(out: dict, a: dict, b: dict) -> None:
+    """Add the product of the term dicts ``a`` and ``b`` into ``out`` in place:
+    the one loop that multiplies terms.  Integral sums are stored as ``int``."""
+    if len(a) < len(b):
+        a, b = b, a
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = tuple(map(_add, ea, eb))
+            s = out.get(e)
+            s = ca * cb if s is None else s + ca * cb
+            if s:
+                out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+            else:
+                del out[e]
+
+
 class MultiPoly:
     """Sparse polynomial in named variables with exact coefficients."""
 
@@ -169,7 +185,7 @@ class MultiPoly:
         return self.with_vars(merged), other.with_vars(merged)
 
     def _promote(self, value):
-        if isinstance(value, MultiPoly):
+        if type(value) is MultiPoly:
             return value
         if isinstance(value, COEFF_TYPES):
             return MultiPoly.constant(value, self.vars)
@@ -187,7 +203,7 @@ class MultiPoly:
             s = out.get(e)
             s = c if s is None else s + c
             if s:
-                out[e] = s
+                out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
             else:
                 del out[e]
         return MultiPoly._raw(p.vars, out)
@@ -201,37 +217,44 @@ class MultiPoly:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        p, q = self._aligned(o)
+        out = dict(p.terms)
+        for e, c in q.terms.items():
+            s = out.get(e)
+            s = -c if s is None else s - c
+            if s:
+                out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+            else:
+                del out[e]
+        return MultiPoly._raw(p.vars, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, COEFF_TYPES):
+        if type(other) is not MultiPoly:  # isinstance against Fraction, an ABC, is slow
+            if not isinstance(other, COEFF_TYPES):
+                return NotImplemented
             c = _coerce_coeff(other)
-            if not c:
-                return MultiPoly._raw(self.vars, {})
-            return MultiPoly._raw(self.vars, {e: v * c for e, v in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
+            terms = self.terms if c else {}
+            return MultiPoly._raw(self.vars, {e: canonical(v * c) for e, v in terms.items()})
         p, q = self._aligned(other)
-        a, b = p.terms, q.terms
-        if len(a) < len(b):
-            a, b = b, a
         out = {}
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                e = tuple(map(_add, ea, eb))
-                c = ca * cb
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+        _addmul(out, p.terms, q.terms)
         return MultiPoly._raw(p.vars, out)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(variables, left, right) -> "MultiPoly":
+        """The sum of left[j] * right[j] over polynomials, as a polynomial in
+        ``variables``, which must cover every variable the operands use."""
+        vs = tuple(variables)
+        out = {}
+        for p, q in zip(left, right, strict=True):
+            _addmul(out, (p if p.vars == vs else p.with_vars(vs)).terms,
+                    (q if q.vars == vs else q.with_vars(vs)).terms)
+        return MultiPoly._raw(vs, out)
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, COEFF_TYPES):
@@ -279,7 +302,7 @@ class MultiPoly:
                 k = e[i]
                 if k:
                     ne = e[:i] + (k - 1,) + e[i + 1:]
-                    nxt[ne] = c * k
+                    nxt[ne] = canonical(c * k)
             terms = nxt
             if not terms:
                 break

@@ -76,10 +76,10 @@ class Tensor:
             raise ValueError(f"expected {size} entries for shape {self.shape}, got {len(items)}")
         polys = []
         for x in items:
-            if isinstance(x, COEFF_TYPES):
+            if type(x) is not MultiPoly:  # isinstance against Fraction, an ABC, is slow
+                if not isinstance(x, COEFF_TYPES):
+                    raise TypeError(f"entry is not a polynomial: {x!r}")
                 x = MultiPoly.constant(x)
-            elif not isinstance(x, MultiPoly):
-                raise TypeError(f"entry is not a polynomial: {x!r}")
             polys.append(x)
         if variables is None:
             variables = merge_vars(p.vars for p in polys)
@@ -169,19 +169,16 @@ class Tensor:
         new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...]."""
         inner = math.prod(self.shape[axis + 1:])
         step = self.shape[axis] * inner
-        zero = MultiPoly.zero(merge_vars([self.vars] + [
-            c.vars for row in rows for c in row if isinstance(c, MultiPoly)]))
+        vs = merge_vars([self.vars] + [c.vars for row in rows for c in row
+                                       if type(c) is MultiPoly])
+        old = [p.with_vars(vs) for p in self.entries]
+        rows = [[c.with_vars(vs) if type(c) is MultiPoly else MultiPoly.constant(c, vs)
+                 for c in row] for row in rows]
         entries = []
-        for start in range(0, len(self.entries), step):
-            cols = [self.entries[start + k:start + step:inner] for k in range(inner)]
-            for row in rows:
-                for col in cols:
-                    acc = zero
-                    for coeff, p in zip(row, col):
-                        if coeff:
-                            acc = acc + p * coeff
-                    entries.append(acc)
-        return Tensor(self.shape[:axis] + (len(rows),) + self.shape[axis + 1:], entries, zero.vars)
+        for start in range(0, len(old), step):
+            cols = [old[start + k:start + step:inner] for k in range(inner)]
+            entries.extend(MultiPoly.dot(vs, row, col) for row in rows for col in cols)
+        return Tensor(self.shape[:axis] + (len(rows),) + self.shape[axis + 1:], entries, vs)
 
     def contract_axis(self, axis: int, var_names) -> "Tensor":
         """Replace one axis by a linear form in fresh variables.

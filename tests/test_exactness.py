@@ -1,10 +1,11 @@
-"""No float anywhere.
+"""No float anywhere, and no integral ``Fraction`` in a polynomial.
 
 Every value the library returns is exact, and so is every polynomial and
 every cyclotomic number it builds on the way: a fixture checks each
-``MultiPoly`` and ``Cyclotomic`` as it is constructed.  Integral
-coefficients that enter through ``MultiPoly(...)`` or ``parse_poly`` are
-stored as ``int``.
+``MultiPoly`` and ``Cyclotomic`` as it is constructed, whether through
+``MultiPoly(...)``, ``parse_poly`` or the arithmetic's internal ``_raw``.
+Every integral coefficient of a polynomial is stored as ``int``, including
+the results of sums, products and derivatives.
 """
 
 import math
@@ -34,6 +35,7 @@ def check_exact(value):
         for c in value.terms.values():
             assert type(c) in (int, Fraction, Cyclotomic), repr(c)
             check_exact(c)
+        assert not _integral_fractions(value), value.terms
     elif isinstance(value, Cyclotomic):
         assert all(type(c) in (int, Fraction) for c in value.coeffs), repr(value)
     elif isinstance(value, Tensor):
@@ -51,20 +53,29 @@ def check_exact(value):
         pytest.fail(f"unexpected value type {type(value).__name__}: {value!r}")
 
 
+def _integral_fractions(p: MultiPoly) -> list:
+    return [c for c in p.terms.values() if type(c) is Fraction and c.denominator == 1]
+
+
 @pytest.fixture(autouse=True)
 def built_values_are_exact(monkeypatch):
-    raw, init = MultiPoly._raw.__func__, Cyclotomic.__init__
+    raw, poly_init, init = MultiPoly._raw.__func__, MultiPoly.__init__, Cyclotomic.__init__
 
     def checked_raw(cls, variables, terms):
         p = raw(cls, variables, terms)
         check_exact(p)
         return p
 
+    def checked_poly_init(self, variables, terms):
+        poly_init(self, variables, terms)
+        check_exact(self)
+
     def checked_init(self, order, coeffs):
         init(self, order, coeffs)
         check_exact(self)
 
     monkeypatch.setattr(MultiPoly, "_raw", classmethod(checked_raw))
+    monkeypatch.setattr(MultiPoly, "__init__", checked_poly_init)
     monkeypatch.setattr(Cyclotomic, "__init__", checked_init)
 
 
@@ -107,9 +118,6 @@ def test_binary_form_disc_stays_exact(degree):
         f = MultiPoly(XY, {(degree - i, i): coeff() for i in range(degree + 1)})
         disc = binary_form_disc(f, XY, degree=degree)
         check_exact([disc, disc.as_scalar()])
-        # the Bezout route ends in an exact division, which stores an integral value as int
-        if degree > 4:
-            assert not _integral_fractions(disc), disc.terms
 
 
 def test_hyperdet_and_gramm_forms_stay_exact():
@@ -152,10 +160,6 @@ def test_exact_quotient_types():
         exact_quotient(1, 0)
 
 
-def _integral_fractions(p: MultiPoly) -> list:
-    return [c for c in p.terms.values() if type(c) is Fraction and c.denominator == 1]
-
-
 def test_integral_coefficients_are_stored_as_int():
     p = MultiPoly(XY, {(1, 0): Fraction(6, 3), (0, 1): True, (0, 0): Fraction(1, 2)})
     assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
@@ -168,3 +172,16 @@ def test_integral_coefficients_are_stored_as_int():
         check_exact(p)
     # a constant's value stays a Fraction, so ratios of values stay exact
     assert type(MultiPoly.constant(3).as_scalar()) is Fraction
+
+
+def test_arithmetic_stores_integral_results_as_int():
+    # each of these is x, reached through an integral Fraction sum or product
+    x = ("x",)
+    half_x, zeta_x = parse_poly("1/2*x", x), parse_poly("zeta6*x", x)
+    half, three_halves = (MultiPoly.constant(Fraction(k, 2), x) for k in (1, 3))
+    for p in (half_x * 2, 2 * half_x, half_x + half_x, half_x - parse_poly("-1/2*x", x),
+              parse_poly("1/2*x^2", x).partial("x"),
+              zeta_x * zeta(6) ** 5, zeta_x * parse_poly("zeta6^5", x),
+              MultiPoly.dot(x, [half_x, half_x], [half, three_halves]),
+              MultiPoly.dot(x, [zeta_x], [MultiPoly.constant(zeta(6) ** 5, x)])):
+        assert p.terms == {(1,): 1} and type(p.terms[(1,)]) is int, p.terms

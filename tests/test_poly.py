@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hyperforms
 from hyperforms.errors import DomainError
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
@@ -210,3 +213,17 @@ def test_equality_is_structural_after_alignment():
 def test_grlex_rendering_order():
     assert str(P("y^3 + x^2*y")) == "x^2*y + y^3"
     assert str(P("x + x^2 - 1")) == "x^2 + x - 1"
+
+
+def test_term_format_stays_private_to_poly():
+    # other modules go through MultiPoly's methods (dot among them), so the
+    # term representation can change inside poly.py alone
+    src = Path(hyperforms.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("terms", "_raw"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, found

@@ -1,6 +1,7 @@
-"""Property tests: ring axioms, exact division and exact quotients over mixed
-``int``, ``Fraction`` and ``zeta6`` coefficients, equal-degree resultants, and
-hyperresultants of random systems against the format rule."""
+"""Property tests: ring axioms, the multiply-accumulate kernel, exact division
+and exact quotients over mixed ``int``, ``Fraction`` and ``zeta6``
+coefficients, equal-degree resultants, and hyperresultants of random systems
+against the format rule."""
 
 import itertools
 from fractions import Fraction
@@ -44,6 +45,31 @@ def test_multipoly_ring_axioms(p, q, r):
     assert p * q == q * p
     assert p * one == p
     assert p * (q + r) == p * q + p * r
+
+
+@bounded
+@given(polys(), polys())
+def test_sub_is_add_of_negation(p, q):
+    assert p - q == p + (-q)
+
+
+@st.composite
+def dot_cases(draw):
+    # the target tuple covers every operand; some operands are already on it
+    vs = draw(st.sampled_from([("x", "y", "z"), ("z", "y", "x")]))
+    operand = st.one_of(polys(), polys(vs))
+    return vs, draw(st.lists(st.tuples(operand, operand), max_size=4))
+
+
+@bounded
+@given(dot_cases())
+def test_dot_is_sum_of_products(case):
+    vs, pairs = case
+    left, right = [p for p, _ in pairs], [q for _, q in pairs]
+    d = MultiPoly.dot(vs, left, right)
+    assert d.vars == vs
+    assert d == sum((p * q for p, q in pairs), MultiPoly.zero())
+    assert not [c for c in d.terms.values() if type(c) is Fraction and c.denominator == 1]
 
 
 @bounded
