@@ -3,10 +3,10 @@
 Square matrices go through exact fraction-free elimination.  The genuinely
 multidimensional formats (2x2x2, 2x2x3 in any axis order, 2x2x2x2) are
 computed by one recursive Schlaefli step: contract the longest axis with
-fresh auxiliary variables, take the hyperdeterminant of the resulting pencil
-(a determinant, or again a Schlaefli step), then take the discriminant of
-that form in the auxiliary variables.  A hardcoded degree-4 expansion for
-2x2x2 serves as an independent cross-check of the recursion.
+fresh auxiliary variables (a re-keying of the entries' terms, not a product),
+take the hyperdeterminant of the resulting pencil (a determinant, or again a
+Schlaefli step), then take the discriminant of that form in the auxiliary
+variables.  A hardcoded degree-4 expansion for 2x2x2 cross-checks the recursion.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
 the coefficients; degrees 5 to 32, and resultants of two forms of equal
@@ -105,8 +105,7 @@ def det_square(t: Tensor) -> MultiPoly:
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DomainError(f"not a square matrix: shape {_shape_str(t.shape)}")
     k = hyperdet_degree(t.shape)  # refuses squares above 6x6
-    rows = [[t[(i, j)] for j in range(k)] for i in range(k)]
-    return det_rows(rows)
+    return det_rows([t.entries[i * k:(i + 1) * k] for i in range(k)])
 
 
 # -- binary and ternary discriminants -----------------------------------------
@@ -197,7 +196,9 @@ def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:
     if q.homogeneous_degree_in(uvw) not in (2, -1):
         raise DomainError(
             f"expected a quadratic in {tuple(uvw)}, got degree {q.homogeneous_degree_in(uvw)}")
-    return det_rows([[q.partial(a).partial(b).drop_vars(uvw) for b in uvw] for a in uvw])
+    d1 = [q.partial(a) for a in uvw]  # 3 first and, by symmetry, 6 distinct second partials
+    d2 = {(i, j): d1[i].partial(uvw[j]).drop_vars(uvw) for i in range(3) for j in range(i, 3)}
+    return det_rows([[d2[min(i, j), max(i, j)] for j in range(3)] for i in range(3)])
 
 
 # -- hyperdeterminants ----------------------------------------------------------

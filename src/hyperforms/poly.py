@@ -152,17 +152,23 @@ class MultiPoly:
     def with_vars(self, variables) -> "MultiPoly":
         """Reindex onto a variable tuple that must cover every used variable."""
         vs = tuple(variables)
-        if vs == self.vars:
+        own = self.vars
+        if vs == own:
             return self
+        n, m = len(own), len(vs)
+        if vs[:n] == own:  # names only appended
+            pad = (0,) * (m - n)
+            return MultiPoly._raw(vs, {e + pad: c for e, c in self.terms.items()})
+        if own[:m] == vs and not any(any(e[m:]) for e in self.terms):  # unused suffix dropped
+            return MultiPoly._raw(vs, {e[:m]: c for e, c in self.terms.items()})
         pos = {v: i for i, v in enumerate(vs)}
         missing = [v for v in self.vars if v not in pos and self.uses(v)]
         if missing:
             raise ValueError(f"target variables {vs} drop used variables {missing}")
-        n = len(vs)
         out = {}
         src = [pos.get(v) for v in self.vars]
         for e, c in self.terms.items():
-            ne = [0] * n
+            ne = [0] * m
             for i, x in enumerate(e):
                 if x:
                     ne[src[i]] = x
@@ -254,6 +260,20 @@ class MultiPoly:
         for p, q in zip(left, right, strict=True):
             _addmul(out, (p if p.vars == vs else p.with_vars(vs)).terms,
                     (q if q.vars == vs else q.with_vars(vs)).terms)
+        return MultiPoly._raw(vs, out)
+
+    @staticmethod
+    def pencil(variables, parts) -> "MultiPoly":
+        """The sum of u_j * parts[j], the u_j being the trailing len(parts) names of
+        ``variables``, which no part uses: each u_j is fresh, so its product only appends
+        a unit exponent to the keys of parts[j], and no two j share a key."""
+        vs, n = tuple(variables), len(parts)
+        base = vs[:len(vs) - n]
+        out = {}
+        for j, p in enumerate(parts):
+            unit = (0,) * j + (1,) + (0,) * (n - 1 - j)
+            for e, c in (p if p.vars == base else p.with_vars(base)).terms.items():
+                out[e + unit] = c
         return MultiPoly._raw(vs, out)
 
     def __truediv__(self, scalar):

@@ -87,6 +87,12 @@ class Tensor:
         self.entries = [p.with_vars(self.vars) for p in polys]
 
     @classmethod
+    def _built(cls, shape, entries, variables) -> "Tensor":
+        t = object.__new__(cls)  # shape checked, entries a list already on ``variables``
+        t.shape, t.vars, t.entries = shape, variables, entries
+        return t
+
+    @classmethod
     def zeros(cls, shape, variables=()) -> "Tensor":
         z = MultiPoly.zero(variables)
         return cls.from_function(shape, lambda _: z, variables)
@@ -178,13 +184,15 @@ class Tensor:
         for start in range(0, len(old), step):
             cols = [old[start + k:start + step:inner] for k in range(inner)]
             entries.extend(MultiPoly.dot(vs, row, col) for row in rows for col in cols)
-        return Tensor(self.shape[:axis] + (len(rows),) + self.shape[axis + 1:], entries, vs)
+        return Tensor._built(check_shape(self.shape[:axis] + (len(rows),) + self.shape[axis + 1:]),
+                             entries, vs)
 
     def contract_axis(self, axis: int, var_names) -> "Tensor":
         """Replace one axis by a linear form in fresh variables.
 
         Entry at the reduced index is sum_j u_j * t[..., j, ...]; the result
-        is linear in the new variables.
+        is linear in the new variables.  As the u_j are fresh, this is a
+        re-keying of the entries' terms (``MultiPoly.pencil``), not a product.
         """
         if not 0 <= axis < self.ndim:
             raise DomainError(f"axis {axis} out of range for shape {self.shape}")
@@ -192,12 +200,14 @@ class Tensor:
         if len(names) != self.shape[axis]:
             raise DomainError(
                 f"need {self.shape[axis]} contraction variables, got {len(names)}")
-        clash = set(names) & set(self.vars)
-        if clash:
+        if clash := set(names) & set(self.vars):
             raise DomainError(f"contraction variables collide with {sorted(clash)}")
-        acted = self._act(axis, [[MultiPoly.variable(v, self.vars + names) for v in names]])
-        # the slot now has length 1, so dropping it keeps the row-major order
-        return Tensor(self.shape[:axis] + self.shape[axis + 1:], acted.entries, acted.vars)
+        vs = self.vars + names
+        inner = math.prod(self.shape[axis + 1:])
+        step = self.shape[axis] * inner
+        entries = [MultiPoly.pencil(vs, self.entries[start + k:start + step:inner])
+                   for start in range(0, len(self.entries), step) for k in range(inner)]
+        return Tensor._built(self.shape[:axis] + self.shape[axis + 1:], entries, vs)
 
     def apply_gl(self, axis: int, g) -> "Tensor":
         """Act on one slot: new[..., i, ...] = sum_j g[i][j] * old[..., j, ...]."""
@@ -239,7 +249,11 @@ class Tensor:
 
     @classmethod
     def from_json(cls, text: str) -> "Tensor":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("tensor JSON nested too deeply") from None
+        return cls.from_json_dict(data)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(p) for p in self.entries[:4])

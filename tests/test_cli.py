@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hyperforms
 from hyperforms.cli import run_command
 from hyperforms.tensor import Tensor
 
@@ -343,6 +348,16 @@ def test_mistyped_tensor_json_exit_2(capsys, tmp_path, data, complaint):
     code, out, err = run(capsys, "hyperdet", "--tensor", str(path))
     assert (code, out) == (2, "")
     assert complaint in err and len(err.splitlines()) == 1
+
+
+def test_deeply_nested_tensor_json_exit_2():
+    # the JSON decoder recurses once per bracket; the CLI must not show the traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperforms.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hyperforms", "hyperdet", "--tensor=-"],
+                          input="[" * 200000 + "]" * 200000, capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == ["error: tensor JSON nested too deeply"]
 
 
 def test_tensor_path_is_directory_exit_2(capsys, tmp_path):

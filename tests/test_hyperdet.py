@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ from hyperforms.hyperdet import (
     ternary_quadratic_disc,
 )
 from hyperforms.parser import parse_poly
+from hyperforms.polarisation import hyperhessian, hyperresultant
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import Cyclotomic, zeta
 from hyperforms.tensor import Tensor
@@ -441,3 +445,50 @@ def test_hyperdet_2222_known_diagonal():
 def test_hyperdet_square_dispatch():
     t = const_tensor((3, 3), [2, 0, 0, 0, 3, 0, 0, 0, 4])
     assert hyperdet(t) == 24
+
+
+# -- pinned library outputs ------------------------------------------------------
+
+
+def _library_outputs(seed=13):
+    """Printed results of a seeded sweep over the Schlaefli chain: hyperdet on
+    every supported multidimensional format and on 6x6, hyperhessians,
+    hyperresultants, a ternary quadratic discriminant and the contractions of
+    a 2x2x3 tensor, each with integer, rational, zeta6 and symbolic entries."""
+    rng = random.Random(seed)
+    kinds = {
+        "int": lambda: rng.randint(-5, 5),
+        "rational": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        "zeta6": lambda: rng.randint(-2, 2) + rng.randint(-2, 2) * zeta(6),
+        "symbolic": lambda: MultiPoly(("a", "b"), {(1, 0): rng.randint(-2, 2),
+                                                  (0, 1): rng.randint(-2, 2),
+                                                  (0, 0): rng.randint(-2, 2)}),
+    }
+
+    def form(kind, vs, degree):
+        mons = [e for e in itertools.product(range(degree + 1), repeat=len(vs))
+                if sum(e) == degree]
+        return sum((MultiPoly(vs, {e: 1}) * kind() for e in mons), MultiPoly.zero(vs))
+
+    for name, kind in kinds.items():
+        for shape in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2), (6, 6)]:
+            t = Tensor(shape, [kind() for _ in range(math.prod(shape))])
+            yield f"{name} hyperdet {shape}: {hyperdet(t)}"
+        for key in ((1, 1, 1), (1, 1, 1, 1)):
+            yield f"{name} hyperhessian {key}: {hyperhessian(form(kind, XY, len(key)), key, XY)}"
+        for m in (2, 3):
+            forms = [form(kind, XY, 2) for _ in range(m)]
+            yield f"{name} hyperresultant {m}: {hyperresultant(forms, XY)}"
+        uvw = ("u0", "u1", "u2")
+        yield f"{name} ternary_quadratic_disc: {ternary_quadratic_disc(form(kind, uvw, 2), uvw)}"
+        t = Tensor((2, 2, 3), [kind() for _ in range(12)])
+        for axis in range(3):
+            u = ("u0", "u1", "u2")[:t.shape[axis]]
+            yield f"{name} contract_axis {axis}: {t.contract_axis(axis, u).to_json()}"
+
+
+def test_library_outputs_are_pinned():
+    # any change to the printed results of the sweep changes this digest
+    text = "\n".join(_library_outputs())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cbf3c006f14f0632e9749b0c6995a11f6e182900441877a9da477aaabe51ce0d")

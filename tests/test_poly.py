@@ -196,6 +196,46 @@ def test_dehomogenize_wrong_names():
         P("x^2").dehomogenize("x", "t")
 
 
+# -- variable plumbing ---------------------------------------------------------------
+
+
+def _by_names(p, variables):
+    """Terms of ``p`` reindexed onto ``variables`` by looking each name up:
+    the oracle for every path through ``with_vars``."""
+    return {tuple(dict(zip(p.vars, e)).get(v, 0) for v in variables): c
+            for e, c in p.terms.items()}
+
+
+def test_with_vars_fast_paths_equal_general_reindex():
+    rng = random.Random(17)
+    xyz = ("x", "y", "z")
+    for p in [MultiPoly.zero(XY)] + [random_poly(rng) for _ in range(40)]:
+        for target in (xyz, XY + ("z", "w"), ("y", "x", "z"), ("z", "x", "y")):  # appended or not
+            q = p.with_vars(target)
+            assert q.vars == target and q.terms == _by_names(p, target)
+        r = p.with_vars(xyz)
+        x_only = MultiPoly(xyz, {e: c for e, c in r.terms.items() if not e[1]})
+        for q, target in ((r, XY), (x_only, ("x",)), (r, ("y", "x"))):  # unused suffix or not
+            d = q.with_vars(target)
+            assert d.vars == target and d.terms == _by_names(q, target)
+
+
+def test_with_vars_refuses_to_drop_a_used_trailing_variable():
+    with pytest.raises(ValueError, match=r"drop used variables \['z'\]"):
+        P("x*z + y", ("x", "y", "z")).with_vars(XY)
+
+
+def test_pencil_realigns_parts_on_other_variables():
+    vs = ("x", "y", "u0", "u1")
+    p, q = P("x^2 + 3*y", ("y", "x")), P("2*x - 1/2", ("x",))
+    got = MultiPoly.pencil(vs, [p, q])
+    oracle = MultiPoly.variable("u0", vs) * p + MultiPoly.variable("u1", vs) * q
+    assert got.vars == vs and got.terms == oracle.with_vars(vs).terms
+    assert got == P("u0*x^2 + 3*u0*y + 2*u1*x - 1/2*u1", vs)
+    with pytest.raises(ValueError, match="u1"):  # a part may not use its own pencil variables
+        MultiPoly.pencil(vs, [P("u1", ("x", "u1")), q])
+
+
 # -- canonical form ------------------------------------------------------------------
 
 

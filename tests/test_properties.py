@@ -1,9 +1,10 @@
 """Property tests: ring axioms, the multiply-accumulate kernel, exact division
 and exact quotients over mixed ``int``, ``Fraction`` and ``zeta6``
-coefficients, equal-degree resultants, and hyperresultants of random systems
-against the format rule."""
+coefficients, contraction against the multiply route, equal-degree
+resultants, and hyperresultants of random systems against the format rule."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hyperforms.hyperdet import _sylvester_rows, det_rows, hyperdet_degree  # no
 from hyperforms.polarisation import hyperresultant  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
+from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
 
 bounded = settings(max_examples=60, deadline=None, database=None)
 
@@ -70,6 +72,36 @@ def test_dot_is_sum_of_products(case):
     assert d.vars == vs
     assert d == sum((p * q for p, q in pairs), MultiPoly.zero())
     assert not [c for c in d.terms.values() if type(c) is Fraction and c.denominator == 1]
+
+
+def _contract_by_products(t, axis, u):
+    """The multiply route to ``t.contract_axis(axis, u)``: each entry is
+    sum_j u_j * t[..., j, ...] formed with polynomial products."""
+    vs = t.vars + u
+    shape = t.shape[:axis] + t.shape[axis + 1:]
+    entries = [sum((MultiPoly.variable(uj, vs) * t[idx[:axis] + (j,) + idx[axis:]]
+                    for j, uj in enumerate(u)), MultiPoly.zero(vs))
+               for idx in itertools.product(*map(range, shape))]
+    return Tensor(shape, entries, vs)
+
+
+@st.composite
+def tensors(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    size = math.prod(shape)
+    entry = st.one_of(st.just(0), scalars, polys(("a", "b")))
+    variables = draw(st.sampled_from([None, ("b", "a")]))
+    return Tensor(shape, draw(st.lists(entry, min_size=size, max_size=size)), variables)
+
+
+@bounded
+@given(tensors())
+def test_contract_axis_matches_multiply_route(t):
+    for axis in range(t.ndim):
+        u = fresh_names(t.vars, t.shape[axis])
+        got, oracle = t.contract_axis(axis, u), _contract_by_products(t, axis, u)
+        assert (got.shape, got.vars) == (oracle.shape, oracle.vars)
+        assert [p.terms for p in got.entries] == [p.terms for p in oracle.entries]
 
 
 @bounded
