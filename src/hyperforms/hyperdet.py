@@ -36,10 +36,12 @@ def hyperdet_degree(shape: tuple[int, ...]) -> int:
     """Degree in the entries of the hyperdeterminant on format ``shape`` (a tuple).
 
     A hyperdeterminant exists iff no dimension exceeds the sum of the others
-    (counting each as n - 1); DomainError otherwise, and for squares above 6x6.
+    (counting each as n - 1); DomainError otherwise, for shape () and squares above 6x6.
     Admissible formats outside the implemented set raise UnsupportedFormatError.
     """
     dims = check_shape(shape)
+    if not dims:
+        raise DomainError("hyperdeterminant does not exist for the 0-dimensional format []")
     slack = sum(n - 1 for n in dims)
     if any(2 * (n - 1) > slack for n in dims):
         raise DomainError(f"hyperdeterminant does not exist for format {_shape_str(shape)}")

@@ -4,8 +4,8 @@ Grammar: integers and rationals (``3``, ``-1/2``), declared variable names,
 ``+ - * ^ ( )`` with explicit ``*`` and non-negative integer exponents; a
 power may have exponent and degree at most 64.
 ``zeta<m>`` is a reserved identifier denoting a primitive m-th root of
-unity, so cyclotomic renderings round-trip.  Printing a polynomial within
-these limits and parsing it back is the identity.
+unity, m at most 64, so cyclotomic renderings round-trip.  Printing a
+polynomial within these limits and parsing it back is the identity.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ _ZETA = re.compile(r"zeta([1-9][0-9]*)$")
 # own recursion limit turns it into a crash.
 _MAX_DEPTH = 100
 # Powers are expanded eagerly; refuse large exponents and high-degree powers
-# before the expansion can run for minutes.
+# before the expansion can run for minutes.  The same bound caps the order of
+# zeta<m>, whose construction builds dense vectors of length m.
 _MAX_EXPONENT = 64
 
 
@@ -138,7 +139,10 @@ class _Parser:
                 return MultiPoly.variable(text, self.vars)
             zm = _ZETA.match(text)
             if zm:
-                return MultiPoly.constant(zeta(int(zm.group(1))), self.vars)
+                digits = zm.group(1)
+                if len(digits) > 2 or int(digits) > _MAX_EXPONENT:
+                    raise ParseError(f"root of unity order exceeds the limit {_MAX_EXPONENT}", pos)
+                return MultiPoly.constant(zeta(int(digits)), self.vars)
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
             p = self.expr()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import add as _add
 
 from .errors import DomainError
-from .scalars import Cyclotomic, canonical, exact_quotient
+from .scalars import Cyclotomic, canonical, exact_quotient, power
 
 COEFF_TYPES = (int, Fraction, Cyclotomic)
 
@@ -287,15 +287,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.constant(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, MultiPoly.constant(1, self.vars))
 
     def __eq__(self, other):
         o = self._promote(other)

@@ -5,11 +5,13 @@ Integral values are stored as ``int`` and other rationals as
 vector modulo the m-th cyclotomic polynomial whose integral entries are
 ``int`` too.  Arithmetic never leaves exact representations and never yields
 a ``float``; any cyclotomic value that reduces to a rational is demoted to a
-``Fraction``.
+``Fraction``.  The one dense division is by a monic integer divisor: it
+builds Phi_m and reduces modulo it.  Inverses come from the field norm.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,49 +40,30 @@ def exact_quotient(a, b):
     return canonical(a / b)
 
 
-def _dense_trim(cs: list) -> list:
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _dense_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+def _dense_mul(a: tuple, b: tuple) -> list:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
-    return _dense_trim(out)
+    return out
 
 
-def _dense_rem_monic(num: list, den: list) -> list:
-    """Remainder of dense polynomial division by a monic divisor."""
-    num = list(num)
+def _dense_divmod_monic(num: list, den: tuple) -> tuple[list, list]:
+    """Quotient and remainder of dense division of ``num`` (overwritten) by a monic
+    divisor; the remainder has exactly deg(den) entries, trailing zeros as ``int``."""
     dn = len(den) - 1
-    for i in range(len(num) - 1 - dn, -1, -1):
-        c = num[i + dn]
-        if c:
-            for j in range(dn + 1):
-                num[i + j] -= c * den[j]
-    return _dense_trim(num[:dn])
-
-
-def _dense_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder over the rationals, ``den`` nonzero."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    _dense_trim(den)
-    dn = len(den) - 1
-    lc = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 0)
+    quot = [0] * max(len(num) - dn, 0)
     for i in range(len(quot) - 1, -1, -1):
-        c = num[i + dn] / lc
-        quot[i] = c
+        c = quot[i] = num[i + dn]
         if c:
             for j in range(dn + 1):
                 num[i + j] -= c * den[j]
-    return _dense_trim(quot), _dense_trim(num)
+    rem = num[:dn]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem + [0] * (dn - len(rem))
 
 
 @lru_cache(maxsize=None)
@@ -88,15 +71,24 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients (constant first) of the m-th cyclotomic polynomial."""
     if m < 1:
         raise ValueError("order must be positive")
-    if m == 1:
-        return (-1, 1)
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            quot, rem = _dense_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
-            num = quot
-    return tuple(int(c) for c in num)
+            num, rem = _dense_divmod_monic(num, cyclotomic_polynomial(d))
+            assert not any(rem)
+    return tuple(num)
+
+
+def power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class Cyclotomic:
@@ -118,14 +110,9 @@ class Cyclotomic:
 
     @staticmethod
     def _make(order: int, coeffs: list):
-        phi = cyclotomic_polynomial(order)
-        cs = [canonical(c) for c in coeffs]
-        if len(cs) >= len(phi):
-            cs = _dense_rem_monic(cs, list(phi))
-        deg = len(phi) - 1
-        cs = cs + [0] * (deg - len(cs))
+        cs = _dense_divmod_monic([canonical(c) for c in coeffs], cyclotomic_polynomial(order))[1]
         if not any(cs[1:]):
-            return Fraction(cs[0] if cs else 0)
+            return Fraction(cs[0])
         return Cyclotomic(order, tuple(cs))
 
     def _embed(self, other):
@@ -169,28 +156,28 @@ class Cyclotomic:
         o = self._embed(other)
         if o is None:
             return NotImplemented
-        return self._make(self.order, _dense_mul(list(self.coeffs), list(o.coeffs)))
+        return self._make(self.order, _dense_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic | Fraction":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_m."""
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        t0, t1 = [], [Fraction(1)]
-        while _dense_trim(r1):
-            q, r = _dense_divmod(r0, r1)
-            r0, r1 = r1, r
-            qt = _dense_mul(q, t1)
-            nt = [Fraction(0)] * max(len(t0), len(qt))
-            for i, c in enumerate(t0):
-                nt[i] += c
-            for i, c in enumerate(qt):
-                nt[i] -= c
-            t0, t1 = t1, _dense_trim(nt)
-        # r0 is now gcd = nonzero constant (Phi_m is irreducible)
-        g = r0[0]
-        return self._make(self.order, [exact_quotient(c, g) for c in t0])
+        """Multiplicative inverse from the field norm: a^-1 = prod_k sigma_k(a) / N(a).
+
+        sigma_k maps zeta to zeta^k for the units k != 1 mod m, and
+        N(a) = a * prod_k sigma_k(a) is rational.  Denominators are cleared
+        first, so the conjugates are multiplied over the integers.
+        """
+        m = self.order
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        a = self * den
+        conj = Fraction(1)
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                cs = [0] * m
+                for e, c in enumerate(a.coeffs):
+                    cs[k * e % m] = c
+                conj = conj * self._make(m, cs)
+        return conj * Fraction(den, a * conj)
 
     def __truediv__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -205,16 +192,7 @@ class Cyclotomic:
         return inv * other
 
     def __pow__(self, n: int):
-        base = self.inverse() if n < 0 else self
-        n = abs(n)
-        result = Fraction(1)
-        while n:
-            if n & 1:
-                result = base * result
-            n >>= 1
-            if n:
-                base = base * base  # may demote; Fraction handles the rest
-        return result
+        return power(self.inverse() if n < 0 else self, abs(n), Fraction(1))
 
     # -- comparisons and hashing -------------------------------------------
 
@@ -257,12 +235,6 @@ class Cyclotomic:
 
 def zeta(m: int):
     """A primitive m-th root of unity (a plain rational for m = 1, 2)."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    if m == 1:
-        return Fraction(1)
-    if m == 2:
-        return Fraction(-1)
     return Cyclotomic._make(m, [0, 1])
 
 

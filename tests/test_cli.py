@@ -89,6 +89,20 @@ def test_unsupported_format_exit_4(capsys, tmp_path):
     assert "unsupported" in err
 
 
+def test_zero_dimensional_tensor_exit_3(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": [], "vars": [], "entries": ["1"]}))
+    code, out, err = run(capsys, "hyperdet", "--tensor", str(path))
+    assert (code, out) == (3, "")
+    assert "0-dimensional format []" in err
+
+
+def test_root_of_unity_order_above_limit_exit_2(capsys):
+    code, out, err = run(capsys, "disc", "--f", "zeta65*x^2 + y^2", "--vars", "x,y")
+    assert (code, out) == (2, "")
+    assert "limit 64" in err
+
+
 def test_huge_exponent_exit_2_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "disc", "--f", "(x+y)^2000", "--vars", "x,y")

@@ -139,11 +139,14 @@ def test_hyperdet_and_gramm_forms_stay_exact():
 
 def test_cyclotomic_inverse_and_division_stay_exact():
     rng = random.Random(9)
-    for m in (3, 4, 5, 6, 8, 12, 24):
+    # rational draws take the inverse through its lcm of denominators
+    draws = [lambda lo: rng.randint(lo, 4),
+             lambda lo: Fraction(rng.randint(lo, 4), rng.randint(1, 6))]
+    for m, draw in [(m, draw) for m in (3, 4, 5, 6, 8, 12, 24) for draw in draws]:
         z = zeta(m)
         for _ in range(5):
-            x = sum((rng.randint(-4, 4) * z ** e for e in range(4)), Fraction(rng.randint(1, 4)))
-            y = rng.randint(1, 4) * z + rng.randint(-3, 3)
+            x = sum((draw(-4) * z ** e for e in range(4)), Fraction(rng.randint(1, 4)))
+            y = draw(1) * z + draw(-3)
             if not isinstance(x, Cyclotomic):  # the draw reduced to a rational
                 continue
             check_exact([x.inverse(), x / y, y / x, x / 3, x / Fraction(2, 3), 5 / y,

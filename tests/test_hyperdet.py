@@ -115,6 +115,7 @@ def test_degree_table_matches_homogeneity(shape):
     ((1,), UnsupportedFormatError, "format 1 unsupported"),
     ((2, 2, 4), DomainError, "does not exist"),
     ((2, 2, 2, 2, 2), UnsupportedFormatError, "unsupported"),
+    ((), DomainError, r"0-dimensional format \[\]"),
 ])
 def test_degree_raises_as_hyperdet_does(shape, error, text):
     with pytest.raises(error, match=text):

@@ -83,6 +83,18 @@ def test_zeta_token():
     assert q.terms[(1, 0)] == zeta(6) + Fraction(1, 2)
 
 
+def test_zeta_order_is_bounded(monkeypatch):
+    assert parse_poly("zeta64", XY) == MultiPoly.constant(zeta(64), XY)
+    # zeta(m) builds dense vectors of length m: a refused order must never reach it
+    built = []
+    monkeypatch.setattr("hyperforms.parser.zeta", built.append)
+    for text in ("zeta65", "zeta" + "9" * 5000):
+        with pytest.raises(ParseError, match="limit 64") as err:
+            parse_poly("x + " + text, XY)
+        assert err.value.position == 4
+    assert built == []
+
+
 def test_zeta_variable_name_reserved():
     with pytest.raises(ValueError, match="reserved"):
         parse_poly("zeta6", ("zeta6",))

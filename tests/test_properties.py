@@ -1,7 +1,9 @@
 """Property tests: ring axioms, the multiply-accumulate kernel, exact division
 and exact quotients over mixed ``int``, ``Fraction`` and ``zeta6``
-coefficients, contraction against the multiply route, equal-degree
-resultants, and hyperresultants of random systems against the format rule."""
+coefficients, the field axioms of ``Cyclotomic`` and the print/parse round
+trip of ``zeta<m>`` coefficients, contraction against the multiply route,
+equal-degree resultants, and hyperresultants of random systems against the
+format rule."""
 
 import itertools
 import math
@@ -17,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hyperforms.classical import sylvester_resultant  # noqa: E402
 from hyperforms.errors import DomainError, UnsupportedFormatError  # noqa: E402
 from hyperforms.hyperdet import _sylvester_rows, det_rows, hyperdet_degree  # noqa: E402
+from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.polarisation import hyperresultant  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
@@ -30,10 +33,10 @@ scalars = st.one_of(rationals, st.builds(lambda a, b: a + b * zeta(6), rationals
 
 
 @st.composite
-def polys(draw, variables=None):
+def polys(draw, variables=None, coeffs=scalars):
     vs = variables or draw(st.sampled_from([("x", "y"), ("y", "z"), ("x",)]))
     exps = st.tuples(*[st.integers(0, 3)] * len(vs))
-    return MultiPoly(vs, draw(st.dictionaries(exps, scalars, max_size=4)))
+    return MultiPoly(vs, draw(st.dictionaries(exps, coeffs, max_size=4)))
 
 
 @bounded
@@ -121,12 +124,37 @@ def test_exact_quotient_matches_fraction_division(a, b):
     assert type(q) is (int if q.denominator == 1 else Fraction)
 
 
+# orders up to 30, with 24, the largest order the library builds
+orders = st.sampled_from([3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24, 30])
+
+
+def cyclotomics(m, max_size=8):
+    return st.lists(rationals, min_size=1, max_size=max_size).map(
+        lambda cs: sum((c * zeta(m) ** e for e, c in enumerate(cs)), Fraction(0)))
+
+
 @bounded
-@given(st.sampled_from([3, 4, 5, 6, 8, 12]), st.lists(rationals, min_size=1, max_size=6))
-def test_cyclotomic_times_inverse_is_one(m, coeffs):
-    x = sum((c * zeta(m) ** e for e, c in enumerate(coeffs)), Fraction(0))
+@given(orders.flatmap(lambda m: st.tuples(*[cyclotomics(m)] * 3)))
+def test_cyclotomic_ring_axioms(xyz):
+    x, y, z = xyz
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+
+
+@bounded
+@given(orders.flatmap(cyclotomics))
+def test_cyclotomic_times_inverse_is_one(x):
     assume(isinstance(x, Cyclotomic))
     assert x * x.inverse() == 1
+
+
+@bounded
+@given(st.sampled_from([3, 5, 8, 24, 30, 64]).flatmap(lambda m: polys(coeffs=cyclotomics(m, 4))))
+def test_print_parse_round_trip_with_roots_of_unity(p):
+    text = str(p)
+    back = parse_poly(text, p.vars)
+    assert back == p and str(back) == text
 
 
 @st.composite

@@ -15,6 +15,7 @@ from hyperforms.classical import sylvester_resultant  # noqa: E402
 from hyperforms.hyperdet import binary_form_disc, det_rows  # noqa: E402
 from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
+from hyperforms.scalars import Cyclotomic, cyclotomic_polynomial, zeta  # noqa: E402
 
 XY = ("x", "y")
 X = sympy.Symbol("x")
@@ -90,3 +91,32 @@ def test_det_rows_matches_sympy_det():
         want = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
                              for row in vals]).det()
         assert got.as_scalar() == _as_fraction(want)
+
+
+def _ascending(expr):
+    """Coefficients of a sympy polynomial in X, constant first, as Fractions."""
+    return [_as_fraction(c) for c in reversed(sympy.Poly(expr, X).all_coeffs())]
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    for m in range(1, 65):
+        got = cyclotomic_polynomial(m)
+        assert all(type(c) is int for c in got), m
+        assert list(got) == _ascending(sympy.cyclotomic_poly(m, X)), m
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 12, 24, 30, 60])
+def test_cyclotomic_inverse_matches_sympy_invert(m):
+    rng = random.Random(500 + m)
+    phi = sum(c * X ** e for e, c in enumerate(cyclotomic_polynomial(m)))
+    deg = len(cyclotomic_polynomial(m)) - 1
+    draws = [lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))]
+    for draw in draws * 4:
+        coeffs = [draw() for _ in range(deg)]
+        coeffs[rng.randrange(1, deg)] = draw() or 1  # not a rational
+        x = sum((c * zeta(m) ** e for e, c in enumerate(coeffs)), Fraction(0))
+        assert isinstance(x, Cyclotomic)
+        a = sum(sympy.Rational(c.numerator, c.denominator) * X ** e for e, c in enumerate(coeffs))
+        want = _ascending(sympy.invert(a, phi, X))
+        got = x.inverse()
+        assert list(got.coeffs) == want + [0] * (deg - len(want)), (m, coeffs)
