@@ -2,7 +2,7 @@
 
 Grammar: integers and rationals (``3``, ``-1/2``), declared variable names,
 ``+ - * ^ ( )`` with explicit ``*`` and non-negative integer exponents; a
-power may have exponent and degree at most 64.
+power may have exponent and degree at most 64, and a number at most 4300 digits.
 ``zeta<m>`` is a reserved identifier denoting a primitive m-th root of
 unity, m at most 64, so cyclotomic renderings round-trip.  Printing a
 polynomial within these limits and parsing it back is the identity.
@@ -33,6 +33,8 @@ _MAX_DEPTH = 100
 # before the expansion can run for minutes.  The same bound caps the order of
 # zeta<m>, whose construction builds dense vectors of length m.
 _MAX_EXPONENT = 64
+# Python's own limit for int() of a decimal string, refused here with a position.
+_MAX_DIGITS = 4300
 
 
 def _tokenize(text: str):
@@ -118,8 +120,8 @@ class _Parser:
             if kind != "number" or "/" in text:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.take()
-            n = int(text)
-            if n > _MAX_EXPONENT or n * p.total_degree() > _MAX_EXPONENT:
+            n = int(text) if len(text.lstrip("0")) <= 2 else None  # no int() of a huge string
+            if n is None or n > _MAX_EXPONENT or n * p.total_degree() > _MAX_EXPONENT:
                 raise ParseError(f"power exceeds the exponent and degree limit {_MAX_EXPONENT}",
                                  pos)
             return p ** n
@@ -128,12 +130,15 @@ class _Parser:
     def atom(self) -> MultiPoly:
         kind, text, pos = self.take()
         if kind == "number":
-            if "/" in text:
-                num, den = (part.strip() for part in text.split("/"))
-                if int(den) == 0:
-                    raise ParseError("zero denominator", pos)
-                return MultiPoly.constant(Fraction(int(num), int(den)), self.vars)
-            return MultiPoly.constant(int(text), self.vars)
+            parts = text.split("/")
+            if any(len(part.strip()) > _MAX_DIGITS for part in parts):
+                raise ParseError(f"number has more than {_MAX_DIGITS} digits", pos)
+            if len(parts) == 1:
+                return MultiPoly.constant(int(text), self.vars)
+            num, den = map(int, parts)
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            return MultiPoly.constant(Fraction(num, den), self.vars)
         if kind == "name":
             if text in self.vars:
                 return MultiPoly.variable(text, self.vars)

@@ -110,7 +110,7 @@ class Cyclotomic:
 
     @staticmethod
     def _make(order: int, coeffs: list):
-        cs = _dense_divmod_monic([canonical(c) for c in coeffs], cyclotomic_polynomial(order))[1]
+        cs = [canonical(c) for c in _dense_divmod_monic(coeffs, cyclotomic_polynomial(order))[1]]
         if not any(cs[1:]):
             return Fraction(cs[0])
         return Cyclotomic(order, tuple(cs))

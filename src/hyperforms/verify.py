@@ -3,9 +3,12 @@ pin every convention constant as an exact rational.
 
 Each suite draws integer coefficients uniformly from [-R, R] (default R = 9),
 resampling degenerate instances up to 1000 times, and checks its identities
-exactly.  A ratio constant is recorded only when it is identical across all
-trials; the first disagreement demotes the identity to a failure carrying
-both witnesses.
+exactly.  Each identity reads a lazy stream of verdicts, one per trial, and
+stops at its first counterexample, so it takes no draw after that and later
+identities see the random state it leaves; identities that share draws take
+them all first and map over one list.  A ratio constant is recorded only when
+it is identical across all trials; the first disagreement demotes the
+identity to a failure carrying both witnesses.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import starmap
+from itertools import islice, repeat, starmap
 
 from .classical import apolar_quartic, hankel_quartic, sylvester_resultant, wronskian3
 from .errors import DomainError
@@ -138,33 +141,31 @@ def _random_matrix(rng, n: int, bound: int):
     return _reject_degenerate(draw, f"invertible {n}x{n} matrix")
 
 
-def _for_all(rec: IdentityRecord, trials: int, check) -> IdentityRecord:
-    """Run ``check`` up to ``trials`` times; the first counterexample string
-    it returns fails ``rec`` and ends the loop.  Identities sharing draws take
-    them first, so each sees them in draw order and stops at its first failure."""
-    for _ in range(trials):
-        bad = check()
-        if bad:
-            rec.passed = False
-            rec.counterexample = bad
-            break
-    return rec
+def _calls(fn, *args):
+    """The lazy stream ``fn(*args), fn(*args), ...``: fresh draws or verdicts."""
+    return starmap(fn, repeat(args))
 
 
-def _pin_ratio(rec: IdentityRecord, draw, ratio) -> IdentityRecord:
-    """Check that ``ratio(*draw())``, a (value, witness) pair, has the same
-    value on each of ``rec.trials`` draws, and record that constant: the first
-    draw calibrates it, and a mismatch fails ``rec`` with both witnesses."""
+def _holds(name: str, trials: int, verdicts, nominal: str | None = None) -> IdentityRecord:
+    """Read at most ``trials`` verdicts from the lazy iterable ``verdicts``; the
+    first counterexample string fails the identity and ends the stream."""
+    bad = next(filter(None, islice(verdicts, trials)), None)
+    return IdentityRecord(name, trials, bad is None, nominal=nominal, counterexample=bad)
+
+
+def _pinned(name: str, trials: int, ratios, nominal: str | None = None) -> IdentityRecord:
+    """Check that the lazy ``(value, witness)`` pairs ``ratios`` share one value:
+    the first pair calibrates it, a mismatch fails with both witnesses, and a
+    pass records the value as the identity's constant."""
     first = []
 
-    def check():
-        value, witness = ratio(*draw())
+    def verdict(value, witness):
         if not first:
             first.append((value, witness))
         elif value != first[0][0]:
             return f"{first[0][1]} -> {first[0][0]}; {witness} -> {value}"
 
-    _for_all(rec, rec.trials, check)
+    rec = _holds(name, trials, starmap(verdict, ratios), nominal)
     rec.constant = first[0][0] if rec.passed and first else None
     return rec
 
@@ -182,8 +183,8 @@ def suite_prop21(rng, trials, bound):
     def ratio(f, g, res):
         return hyperresultant([f, g], XY).as_scalar() / res, f"(f1={f}, f2={g})"
 
-    rec = IdentityRecord("hyperresultant-vs-resultant", trials, True)
-    return [_pin_ratio(rec, lambda: _reject_degenerate(pair, "coprime quadratic pair"), ratio)]
+    pairs = _calls(_reject_degenerate, pair, "coprime quadratic pair")
+    return [_pinned("hyperresultant-vs-resultant", trials, starmap(ratio, pairs))]
 
 
 def suite_wronskian(rng, trials, bound):
@@ -200,19 +201,14 @@ def suite_wronskian(rng, trials, bound):
         f1 = _random_form(rng, 2, bound)
         f2 = _random_form(rng, 2, bound)
         a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
-        f3 = a * f1 + b * f2
-        if f3.is_zero():
-            f3 = f1
+        f3 = a * f1 + b * f2 or f1
         r3 = hyperresultant([f1, f2, f3], XY)
         if not r3.is_zero():
             return f"(f1={f1}, f2={f2}, f3={f3}) -> {r3}"
 
-    ratio_rec = _pin_ratio(
-        IdentityRecord("wronskian-square-ratio", trials, True),
-        lambda: _reject_degenerate(triple, "independent quadratic triple"), ratio)
-    dep_trials = max(trials, 20)
-    dep_rec = IdentityRecord("dependent-triple-vanish", dep_trials, True)
-    return [ratio_rec, _for_all(dep_rec, dep_trials, dependent)]
+    triples = _calls(_reject_degenerate, triple, "independent quadratic triple")
+    return [_pinned("wronskian-square-ratio", trials, starmap(ratio, triples)),
+            _holds("dependent-triple-vanish", max(trials, 20), _calls(dependent))]
 
 
 def suite_prop11(rng, trials, bound):
@@ -224,8 +220,8 @@ def suite_prop11(rng, trials, bound):
     def ratio(f, disc):
         return hyperhessian(f, (1, 1, 1), XY).as_scalar() / disc, f"(f={f})"
 
-    rec = IdentityRecord("cubic-hyperhessian-vs-disc", trials, True)
-    return [_pin_ratio(rec, lambda: _reject_degenerate(cubic, "nondegenerate cubic"), ratio)]
+    cubics = _calls(_reject_degenerate, cubic, "nondegenerate cubic")
+    return [_pinned("cubic-hyperhessian-vs-disc", trials, starmap(ratio, cubics))]
 
 
 _QUARTIC_VARS = ("c40", "c31", "c22", "c13", "c04", "x", "y")
@@ -233,14 +229,12 @@ _QUARTIC = "c40*x^4 + c31*x^3*y + c22*x^2*y^2 + c13*x*y^3 + c04*y^4"
 
 
 def suite_prop12(rng, trials, bound):
-    def divisible():
-        f = parse_poly(_QUARTIC, _QUARTIC_VARS)
-        hh, disc = hyperhessian(f, (1, 1, 1, 1), XY), binary_form_disc(f)
-        quot = hh.exact_div(disc)
-        if quot is None or quot * disc != hh:
-            return "hyperhessian not divisible by the symbolic discriminant"
-
-    return [_for_all(IdentityRecord("symbolic-quartic-divisibility", 1, True), 1, divisible)]
+    f = parse_poly(_QUARTIC, _QUARTIC_VARS)
+    hh, disc = hyperhessian(f, (1, 1, 1, 1), XY), binary_form_disc(f)
+    quot = hh.exact_div(disc)
+    bad = (None if quot is not None and quot * disc == hh
+           else "hyperhessian not divisible by the symbolic discriminant")
+    return [_holds("symbolic-quartic-divisibility", 1, [bad])]
 
 
 def suite_prop24(rng, trials, bound):
@@ -252,8 +246,7 @@ def suite_prop24(rng, trials, bound):
         if not r2.is_zero():
             return f"(f={f}, g={g}) -> {r2}"
 
-    rec = IdentityRecord("shared-root-hyperresultant-vanish", trials, True)
-    return [_for_all(rec, trials, shared_root)]
+    return [_holds("shared-root-hyperresultant-vanish", trials, _calls(shared_root))]
 
 
 def suite_prop41(rng, trials, bound):
@@ -272,8 +265,7 @@ def suite_prop41(rng, trials, bound):
         return sylvester_resultant(f, f111).as_scalar() / (disc ** 2 * apol ** 4), f"(f={f})"
 
     draws = [_reject_degenerate(quartic, "generic quartic") for _ in range(trials)]
-    recs = [_pin_ratio(IdentityRecord(name, trials, True, nominal=nominal),
-                       iter(draws).__next__, ratio) for name, nominal, ratio in (
+    recs = [_pinned(name, trials, starmap(ratio, draws), nominal) for name, nominal, ratio in (
         ("disc-of-iterated-hessian", "2^36*3^6", disc_ratio),
         ("resultant-with-iterated-hessian", "2^24*3^12", resultant_ratio))]
     for rec in recs:
@@ -284,18 +276,13 @@ def suite_prop41(rng, trials, bound):
 
 
 def suite_hankel22(rng, trials, bound):
-    rec = IdentityRecord("polarised-pair-hessian-vs-hankel", 1, True)
-
-    def constant_ratio():
-        f = parse_poly(_QUARTIC, _QUARTIC_VARS)
-        quot = hyperhessian(f, (2, 2), XY).exact_div(hankel_quartic(f))
-        if quot is None:
-            return "ratio is not a polynomial"
-        if quot.total_degree() > 0:
-            return f"ratio is not constant: {quot}"
-        rec.constant = quot.as_scalar()
-
-    return [_for_all(rec, 1, constant_ratio)]
+    f = parse_poly(_QUARTIC, _QUARTIC_VARS)
+    quot = hyperhessian(f, (2, 2), XY).exact_div(hankel_quartic(f))
+    bad = ("ratio is not a polynomial" if quot is None
+           else f"ratio is not constant: {quot}" if quot.total_degree() > 0 else None)
+    rec = _holds("polarised-pair-hessian-vs-hankel", 1, [bad])
+    rec.constant = None if bad else quot.as_scalar()
+    return [rec]
 
 
 def suite_skew(rng, trials, bound):
@@ -313,17 +300,13 @@ def suite_skew(rng, trials, bound):
                 if project_k(parts[j], k) != (parts[k] if k == j else zero):
                     return f"p_{k} o p_{j} misbehaves on {t.to_json()}"
 
-    def ranks():
-        traces = tuple(projector_trace(3, 3, k) for k in range(6))
-        if traces != tuple(Fraction(d) for d in dims):
-            return f"traces {traces} != {dims}"
-
     tensors = [_random_tensor(rng, shape, bound) for _ in range(trials)]
     draws = [(t, [project_k(t, k) for k in range(6)]) for t in tensors]
-    return [_for_all(IdentityRecord(name, n, True), n, check) for name, n, check in (
-        ("skew-projection-completeness", trials, starmap(complete, draws).__next__),
-        ("skew-projector-orthogonality", trials, starmap(orthogonal, draws).__next__),
-        ("skew-projector-ranks", 1, ranks))]
+    traces = tuple(projector_trace(3, 3, k) for k in range(6))
+    ranks = None if traces == dims else f"traces {traces} != {dims}"
+    return [_holds("skew-projection-completeness", trials, starmap(complete, draws)),
+            _holds("skew-projector-orthogonality", trials, starmap(orthogonal, draws)),
+            _holds("skew-projector-ranks", 1, [ranks])]
 
 
 def suite_glscale(rng, trials, bound):
@@ -341,13 +324,11 @@ def suite_glscale(rng, trials, bound):
         mixed = [[sum(g[i][j] * vecs[j][c] for j in range(3)) for c in range(3)]
                  for i in range(3)]
         base = gramm_form(form, vecs).base
-        mixed_base = gramm_form(form, mixed).base
-        if mixed_base != det ** 2 * base:
+        if gramm_form(form, mixed).base != det ** 2 * base:
             return f"form {form.to_json()}, g={g}"
 
-    return [_for_all(IdentityRecord("triple-slot-action-scaling", trials, True),
-                     trials, triple_slot),
-            _for_all(IdentityRecord("gramm-base-scaling", trials, True), trials, gramm_base)]
+    return [_holds("triple-slot-action-scaling", trials, _calls(triple_slot)),
+            _holds("gramm-base-scaling", trials, _calls(gramm_base))]
 
 
 def suite_dependent(rng, trials, bound):
@@ -369,12 +350,9 @@ def suite_dependent(rng, trials, bound):
         if not gramm_form(form, [u, [lam * c for c in u]]).base.is_zero():
             return f"form {form.to_json()}, u={u}, lambda={lam}"
 
-    d2 = IdentityRecord("bilinear-dependent-tuple-vanish", 3 * trials, True)
-    for m in (2, 3, 4):
-        if not _for_all(d2, trials, lambda: dependent_tuple(m)).passed:
-            break
-    d3 = IdentityRecord("trilinear-dependent-pair-vanish", trials, True)
-    return [d2, _for_all(d3, trials, proportional_pair)]
+    tuples = (dependent_tuple(m) for m in (2, 3, 4) for _ in range(trials))
+    return [_holds("bilinear-dependent-tuple-vanish", 3 * trials, tuples),
+            _holds("trilinear-dependent-pair-vanish", trials, _calls(proportional_pair))]
 
 
 def suite_oracle(rng, trials, bound):
@@ -386,14 +364,11 @@ def suite_oracle(rng, trials, bound):
     def axis_order():
         t = _random_tensor(rng, (2, 2, 3), bound)
         h = hyperdet(t)
-        if (hyperdet(t.transpose((0, 2, 1))) != h
-                or hyperdet(t.transpose((2, 0, 1))) != h):
+        if any(hyperdet(t.transpose(p)) != h for p in ((0, 2, 1), (2, 0, 1))):
             return t.to_json()
 
-    return [_for_all(IdentityRecord("schlaefli-vs-closed-form", trials, True),
-                     trials, closed_form),
-            _for_all(IdentityRecord("axis-permutation-2x2x3", trials, True),
-                     trials, axis_order)]
+    return [_holds("schlaefli-vs-closed-form", trials, _calls(closed_form)),
+            _holds("axis-permutation-2x2x3", trials, _calls(axis_order))]
 
 
 _PARSER_VAR_POOL = ("x", "y", "z", "a", "b", "c")
@@ -417,8 +392,7 @@ def suite_parser(rng, trials, bound):
         if back != p or str(back) != text:
             return text
 
-    rec = IdentityRecord("print-parse-roundtrip", trials, True)
-    return [_for_all(rec, trials, roundtrip)]
+    return [_holds("print-parse-roundtrip", trials, _calls(roundtrip))]
 
 
 SUITES = {
@@ -435,25 +409,26 @@ SUITES = {
     "oracle": (suite_oracle, 100),
     "parser": (suite_parser, 1000),
 }
+_MAX_TRIALS = max(default for _, default in SUITES.values())
 
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None,
               coeff_range: int = 9) -> VerifyReport:
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if trials is not None and trials < 0:
+    fn, default_trials = SUITES[name]
+    trials = default_trials if trials is None else trials
+    if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if trials > _MAX_TRIALS:  # prop41 and skew hold every draw at once
+        raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
     if coeff_range < 0:
         raise ValueError(f"coefficient range must be >= 0, got {coeff_range}")
-    fn, default_trials = SUITES[name]
-    rng = random.Random(seed)
-    report = VerifyReport(name, seed, coeff_range)
     try:
-        report.identities = fn(rng, trials if trials is not None else default_trials,
-                               coeff_range)
+        identities = fn(random.Random(seed), trials, coeff_range)
     except ValueError as exc:  # a draw the coefficient range cannot satisfy
         raise ValueError(f"suite {name}: {exc}") from exc
-    return report
+    return VerifyReport(name, seed, coeff_range, identities)
 
 
 def run_all(seed: int = 0, trials: int | None = None,

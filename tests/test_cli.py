@@ -111,6 +111,13 @@ def test_huge_exponent_exit_2_at_once(capsys):
     assert "limit 64" in err
 
 
+@pytest.mark.parametrize("form", ["x^" + "9" * 5000, "9" * 5000 + "*x^2 + y^2"])
+def test_long_digit_string_exit_2_with_position(capsys, form):
+    code, out, err = run(capsys, "disc", "--f", form, "--vars", "x,y")
+    assert (code, out) == (2, "")
+    assert "(at position" in err and "Exceeds the limit" not in err
+
+
 def test_form_degree_above_limit_exit_3(capsys):
     code, out, err = run(capsys, "disc", "--f", "x^40 + x*y^39 - y^40", "--vars", "x,y")
     assert (code, out) == (3, "")
@@ -283,6 +290,7 @@ def test_verify_unknown_suite_exit_2(capsys):
 
 @pytest.mark.parametrize("flag, value, complaint", [
     ("--trials", "-2", "trials must be >= 0, got -2"),
+    ("--trials", "1001", "trials must be <= 1000, got 1001"),
     ("--range", "-1", "coefficient range must be >= 0, got -1"),
 ])
 def test_verify_negative_trials_or_range_exit_2(capsys, flag, value, complaint):

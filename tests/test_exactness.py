@@ -1,4 +1,5 @@
-"""No float anywhere, and no integral ``Fraction`` in a polynomial.
+"""No float anywhere, and no integral ``Fraction`` in a polynomial or a
+cyclotomic number.
 
 Every value the library returns is exact, and so is every polynomial and
 every cyclotomic number it builds on the way: a fixture checks each
@@ -37,7 +38,8 @@ def check_exact(value):
             check_exact(c)
         assert not _integral_fractions(value), value.terms
     elif isinstance(value, Cyclotomic):
-        assert all(type(c) in (int, Fraction) for c in value.coeffs), repr(value)
+        assert all(type(c) is int or type(c) is Fraction and c.denominator != 1
+                   for c in value.coeffs), repr(value)
     elif isinstance(value, Tensor):
         check_exact(value.entries)
     elif isinstance(value, GrammValue):
@@ -151,6 +153,15 @@ def test_cyclotomic_inverse_and_division_stay_exact():
                 continue
             check_exact([x.inverse(), x / y, y / x, x / 3, x / Fraction(2, 3), 5 / y,
                          exact_quotient(x, y), exact_quotient(7, y)])
+
+
+def test_cyclotomic_reduction_stores_integral_entries_as_int():
+    # x = 1/2 + 3/2 * zeta5^4 and zeta5^4 = -(1 + zeta5 + zeta5^2 + zeta5^3), so reducing
+    # modulo Phi_5 sums 1/2 - 3/2 into an integral constant entry
+    x = (Fraction(1, 2) * zeta(5) ** 3 + Fraction(3, 2) * zeta(5) ** 2) * zeta(5) ** 2
+    assert x.coeffs == (-1, Fraction(-3, 2), Fraction(-3, 2), Fraction(-3, 2))
+    assert type(x.coeffs[0]) is int
+    check_exact(x)
 
 
 def test_exact_quotient_types():

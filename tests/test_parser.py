@@ -124,6 +124,19 @@ def test_powers_are_bounded():
         assert err.value.position == pos
 
 
+def test_long_digit_strings_are_refused_at_their_token():
+    # int() of more than 4300 digits raises Python's own error, without a position
+    nines = "9" * 5000
+    assert parse_poly("x^0064", XY) == parse_poly("x^64", XY)
+    assert parse_poly("9" * 4300 + "/" + "7" * 4300, XY).as_scalar() == Fraction(
+        int("9" * 4300), int("7" * 4300))
+    for text, pos, complaint in (("x^" + nines, 2, "limit 64"), ("x + " + nines, 4, "4300 digits"),
+                                 ("x - 1/" + nines, 4, "4300 digits")):
+        with pytest.raises(ParseError, match=complaint) as err:
+            parse_poly(text, XY)
+        assert err.value.position == pos
+
+
 def test_trailing_tokens_rejected():
     with pytest.raises(ParseError):
         parse_poly("x + y y", XY)

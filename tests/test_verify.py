@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -7,10 +9,12 @@ import pytest
 import hyperforms.verify
 from hyperforms.cli import run_command
 from hyperforms.errors import DomainError
+from hyperforms.gramm import GrammValue
+from hyperforms.poly import MultiPoly
+from hyperforms.tensor import Tensor
 from hyperforms.verify import (
     SUITES,
-    IdentityRecord,
-    _pin_ratio,
+    _pinned,
     factored_constant,
     is_23_smooth,
     run_all,
@@ -35,16 +39,14 @@ def test_smoothness_predicate():
 
 
 def test_constant_pin_calibrates_then_detects_mismatch():
-    def pinned(*values):
-        draws = iter([(Fraction(v), name) for v, name in values])
-        rec = IdentityRecord("ratio", len(values), True)
-        return _pin_ratio(rec, draws.__next__, lambda value, witness: (value, witness))
-
-    ok = pinned((5, "first"), (5, "second"))
+    ok = _pinned("ratio", 2, [(Fraction(5), "first"), (Fraction(5), "second")])
     assert (ok.passed, ok.constant, ok.counterexample) == (True, 5, None)
-    bad = pinned((5, "first"), (5, "second"), (7, "third"), (9, "fourth"))
+    ratios = iter([(Fraction(v), name) for v, name in
+                   ((5, "first"), (5, "second"), (7, "third"), (9, "fourth"))])
+    bad = _pinned("ratio", 4, ratios)
     assert (bad.passed, bad.constant) == (False, None)
     assert bad.counterexample == "first -> 5; third -> 7"
+    assert next(ratios) == (9, "fourth")  # the stream stops at the first mismatch
 
 
 def test_zero_trials_pin_no_constant():
@@ -56,6 +58,9 @@ def test_zero_trials_pin_no_constant():
 def test_negative_trials_and_range_refused():
     with pytest.raises(ValueError, match="trials must be >= 0, got -2"):
         run_suite("prop21", seed=1, trials=-2)
+    # prop41 and skew hold all their draws at once, so the count is bounded
+    with pytest.raises(ValueError, match="trials must be <= 1000, got 1001"):
+        run_suite("skew", seed=1, trials=1001)
     with pytest.raises(ValueError, match="coefficient range must be >= 0, got -1"):
         run_suite("prop21", seed=1, coeff_range=-1)
     for name in ("prop12", "hankel22", "skew"):
@@ -151,6 +156,64 @@ def test_skew_reports_the_first_orthogonality_counterexample(monkeypatch):
     assert complete.passed and not ortho.passed
     assert len(drawn) == 3
     assert ortho.counterexample == f"p_0 o p_1 misbehaves on {drawn[0].to_json()}"
+
+
+# The library names each suite calls; prop12 and hankel22 are symbolic and
+# take no draws, so one wrong first call each covers them.
+_CALLED = {
+    "prop21": ("sylvester_resultant", "hyperresultant"),
+    "wronskian": ("wronskian3", "hyperresultant"),
+    "prop11": ("binary_form_disc", "hyperhessian"),
+    "prop12": ("hyperhessian",),
+    "prop24": ("hyperresultant",),
+    "prop41": ("binary_form_disc", "hankel_quartic", "apolar_quartic", "hyperhessian",
+               "sylvester_resultant"),
+    "hankel22": ("hankel_quartic",),
+    "skew": ("project_k", "projector_trace"),
+    "glscale": ("det_rows", "hyperdet", "gramm_form"),
+    "dependent": ("gramm_form",),
+    "oracle": ("hyperdet", "cayley_hyperdet_222"),
+    "parser": ("parse_poly",),
+}
+
+
+def _off_by_one(value):
+    """The same kind of value with its leading coefficient off by one."""
+    if isinstance(value, Tensor):
+        return value.map_entries(_off_by_one)
+    if isinstance(value, GrammValue):
+        return dataclasses.replace(value, base=_off_by_one(value.base))
+    if isinstance(value, MultiPoly) and not value.is_zero():
+        return value + MultiPoly(value.vars, {max(value.terms): 1})
+    return value + 1
+
+
+_WRONG_ON = {"1st": (1).__eq__, "2nd": (2).__eq__, "every": bool}
+
+
+def test_failure_paths_are_pinned(monkeypatch):
+    """One library name goes wrong on its 1st call, its 2nd, or every call:
+    each identity must stop after the same draws with the same witnesses, and
+    the identities after it must see the same random state."""
+    runs = []
+    for suite, names in _CALLED.items():
+        for name in names:
+            for when in _WRONG_ON if SUITES[suite][1] > 1 else ("1st",):
+                real, count = getattr(hyperforms.verify, name), itertools.count(1)
+
+                def patched(*args, real=real, count=count, wrong=_WRONG_ON[when], **kwargs):
+                    value = real(*args, **kwargs)
+                    return _off_by_one(value) if wrong(next(count)) else value
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(hyperforms.verify, name, patched)
+                    report = run_suite(suite, seed=1, trials=2)
+                runs.append([name, when, report.to_json_dict()])
+    assert len(runs) == 65 and not any(data["pass"] for _, _, data in runs)
+    text = json.dumps(runs)
+    assert len(text) == 34356
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bd43be2925d3be8afe558fe3a8c75cafd5ab0d9c5aca909275cdde87575eb9f1")
 
 
 def test_suite_registry_matches_cli_contract():
