@@ -1,27 +1,31 @@
-"""Classical companions: Sylvester resultants, the quartic Hankel and apolar
+"""Classical companions: resultants of binary forms, the quartic Hankel and apolar
 invariants, and the three-form Wronskian."""
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .hyperdet import _bezout_rows, _bounded_degree, _sylvester_rows, det_rows, det_square
-from .poly import MultiPoly, binary_vars
+from .hyperdet import _bounded_degree, _resultant_rows, det_rows, det_square
+from .poly import MultiPoly, binary_vars, merge_vars
 from .tensor import Tensor
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
-    """Determinant of the Sylvester matrix of two binary forms; forms of equal
-    degree n take it from their n x n Bezout matrix.
+    """Resultant of two binary forms of degrees m and n: the determinant of
+    their max(m, n) x max(m, n) hybrid Bezout-Sylvester matrix, which equals
+    that of the (m + n) x (m + n) Sylvester matrix.
 
     Vanishes exactly when the forms share a projective root; bihomogeneous
     of degree (deg g, deg f) in the coefficients.
     """
     if f.is_zero() or g.is_zero():
         raise DomainError("resultant of the zero polynomial is undefined")
-    avec, bvec = f.binary_coefficients(xy), g.binary_coefficients(xy)
+    # one variable tuple with f's names first, though rows of g may come first
+    merged = merge_vars((f.vars, g.vars))
+    avec, bvec = (h.with_vars(merged).binary_coefficients(xy) for h in (f, g))
     m = _bounded_degree("resultant", len(avec) - 1, 1)
     n = _bounded_degree("resultant", len(bvec) - 1, 1)
-    return det_rows(_bezout_rows(avec, bvec) if m == n else _sylvester_rows(avec, bvec, m, n))
+    res = det_rows(_resultant_rows(avec, bvec) if m >= n else _resultant_rows(bvec, avec))
+    return -res if m < n and m * n % 2 else res  # Res(f, g) = (-1)^(mn) Res(g, f)
 
 
 def hankel_matrix(f: MultiPoly, xy=("x", "y")) -> Tensor:

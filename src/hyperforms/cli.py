@@ -207,7 +207,12 @@ def run_command(argv) -> int:
         result = args.call(args)
         if args.emit is None:
             return result
-        args.emit(result, args)
+        limit = sys.get_int_max_str_digits()
+        try:  # print a valid answer whatever its number of digits
+            sys.set_int_max_str_digits(0)
+            args.emit(result, args)
+        finally:
+            sys.set_int_max_str_digits(limit)
         return 0
     except (HyperformsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,9 @@ Schlaefli step), then take the discriminant of that form in the auxiliary
 variables.  A hardcoded degree-4 expansion for 2x2x2 cross-checks the recursion.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
-the coefficients; degrees 5 to 32, and resultants of two forms of equal
-degree, use Cayley's n x n Bezout matrix.  The Sylvester matrix serves for
-unequal degrees, and in tests as the oracle for both other routes.
+the coefficients.  Degrees 5 to 32, and resultants of forms of any degrees
+m >= n, use one m x m hybrid Bezout-Sylvester matrix, which for m = n is
+Cayley's Bezout matrix.  In tests the Sylvester matrix is its oracle.
 """
 
 from __future__ import annotations
@@ -113,36 +113,30 @@ def det_square(t: Tensor) -> MultiPoly:
 # -- binary and ternary discriminants -----------------------------------------
 
 
-# Bezout and Sylvester matrices have O(d^2) entries that grow with the
-# coefficients; refuse forms beyond this degree before building one.
+# Resultant matrices have O(d^2) entries that grow with the coefficients;
+# refuse forms beyond this degree before building one.
 _MAX_DEGREE = 32
 
 
-def _sylvester_rows(avec, bvec, m: int, n: int):
-    """Sylvester matrix rows for coefficient vectors of degrees m and n."""
-    size = m + n
-    zero = MultiPoly.zero()
-    rows = []
-    for shift in range(n):
-        rows.append([zero] * shift + list(avec) + [zero] * (size - shift - m - 1))
-    for shift in range(m):
-        rows.append([zero] * shift + list(bvec) + [zero] * (size - shift - n - 1))
-    return rows
+def _resultant_rows(avec, bvec):
+    """Hybrid Bezout-Sylvester matrix of coefficient vectors of degrees m >= n.
 
-
-def _bezout_rows(avec, bvec):
-    """Cayley's symmetric n x n Bezout matrix of two coefficient vectors of
-    degree n, rows reversed: B[i][j] = B[i-1][j+1] + p[j+1]*q[i] - p[i]*q[j+1]
-    with p[k], q[k] the coefficients of x^k.  Res = (-1)^(n(n-1)/2) det B
-    (Gelfand, Kapranov, Zelevinsky 1994, ch. 12); reversing n rows gives that sign.
+    Cayley's symmetric recurrence B[i][j] = B[i-1][j+1] + p[j+1]*q[i] - p[i]*q[j+1]
+    runs on f and x^(m-n) g, with p[k], q[k] the coefficients of x^k.  The rows
+    x^j g for j < m - n, then the last n rows of B reversed, have determinant
+    Res(f, g), sign included (Sylvester 1853; Gelfand, Kapranov, Zelevinsky 1994,
+    ch. 12).  Column j holds the coefficient of x^j; for m = n this is B reversed.
     """
-    p, q, n = avec[::-1], bvec[::-1], len(avec) - 1
-    b = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
+    m, n = len(avec) - 1, len(bvec) - 1
+    zero = MultiPoly.zero()
+    p, q = avec[::-1], [zero] * (m - n) + bvec[::-1]
+    b = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
             entry = p[j + 1] * q[i] - p[i] * q[j + 1]
-            b[i][j] = b[j][i] = entry + b[i - 1][j + 1] if i and j + 1 < n else entry
-    return b[::-1]
+            b[i][j] = b[j][i] = entry + b[i - 1][j + 1] if i and j + 1 < m else entry
+    shifted = [[zero] * j + bvec[::-1] + [zero] * (m - n - 1 - j) for j in range(m - n)]
+    return shifted + b[::-1][:n]
 
 
 def _closed_form_disc(cs) -> MultiPoly:
@@ -186,8 +180,8 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
     cs = f.binary_coefficients(xy, degree)
     d = _bounded_degree("discriminant", len(cs) - 1, 2)
     if d > 4:  # the coefficients of df/dx and df/dy, read off those of f
-        res = det_rows(_bezout_rows([(d - i) * c for i, c in enumerate(cs[:-1])],
-                                    [i * c for i, c in enumerate(cs) if i]))
+        res = det_rows(_resultant_rows([(d - i) * c for i, c in enumerate(cs[:-1])],
+                                       [i * c for i, c in enumerate(cs) if i]))
         return res * (-1) ** (d * (d - 1) // 2) / d ** (d - 2)
     return _closed_form_disc(cs)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .poly import MultiPoly
-from .scalars import zeta
+from .scalars import MAX_ORDER, zeta
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -30,8 +30,7 @@ _ZETA = re.compile(r"zeta([1-9][0-9]*)$")
 # own recursion limit turns it into a crash.
 _MAX_DEPTH = 100
 # Powers are expanded eagerly; refuse large exponents and high-degree powers
-# before the expansion can run for minutes.  The same bound caps the order of
-# zeta<m>, whose construction builds dense vectors of length m.
+# before the expansion can run for minutes.
 _MAX_EXPONENT = 64
 # Python's own limit for int() of a decimal string, refused here with a position.
 _MAX_DIGITS = 4300
@@ -145,8 +144,8 @@ class _Parser:
             zm = _ZETA.match(text)
             if zm:
                 digits = zm.group(1)
-                if len(digits) > 2 or int(digits) > _MAX_EXPONENT:
-                    raise ParseError(f"root of unity order exceeds the limit {_MAX_EXPONENT}", pos)
+                if len(digits) > 2 or int(digits) > MAX_ORDER:
+                    raise ParseError(f"root of unity order exceeds the limit {MAX_ORDER}", pos)
                 return MultiPoly.constant(zeta(int(digits)), self.vars)
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 RATIONAL_TYPES = (int, Fraction)
+MAX_ORDER = 64  # the largest order of zeta(m); Cyclotomic.inverse slows beyond it
 
 
 def as_fraction(x) -> Fraction:
@@ -234,7 +235,9 @@ class Cyclotomic:
 
 
 def zeta(m: int):
-    """A primitive m-th root of unity (a plain rational for m = 1, 2)."""
+    """A primitive m-th root of unity (a plain rational for m = 1, 2), m <= MAX_ORDER."""
+    if m > MAX_ORDER:
+        raise ValueError(f"root of unity order exceeds the limit {MAX_ORDER}")
     return Cyclotomic._make(m, [0, 1])
 
 

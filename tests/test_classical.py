@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ from hyperforms.classical import (
     wronskian3,
 )
 from hyperforms.errors import DomainError
-from hyperforms.hyperdet import _sylvester_rows, binary_form_disc, det_rows
+from hyperforms.hyperdet import binary_form_disc, det_rows
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import zeta
+
+from sylvester import sylvester_rows
 
 XY = ("x", "y")
 
@@ -117,11 +120,62 @@ def test_equal_degree_resultant_matches_sylvester_oracle(n):
         special = [(x * f, form(n, coeff)), (form(n, coeff), y * g), (x * f, y * g),
                    (lin * f, lin * g)][which]
         for a, b in ((form(n, coeff), form(n, coeff)), special):
-            want = det_rows(_sylvester_rows(a.binary_coefficients(XY),
+            want = det_rows(sylvester_rows(a.binary_coefficients(XY),
                                             b.binary_coefficients(XY), n, n))
             assert sylvester_resultant(a, b) == want, (str(a), str(b))
         if which == 3:
             assert sylvester_resultant(*special).is_zero()
+
+
+def _resultant_outputs(seed=16):
+    """Printed results of a seeded sweep: ``sylvester_resultant`` over degrees
+    1 <= m, n <= 6 and ``binary_form_disc`` of degrees 5 to 8, with integer,
+    rational, zeta6 and symbolic coefficients (symbolic only where m + n <= 8),
+    f and g on different variable tuples, some leading coefficients zero."""
+    rng = random.Random(seed)
+
+    def symbolic(names):
+        return lambda: MultiPoly(names, {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(-2, 2),
+                                         (0, 0): rng.randint(-2, 2)})
+
+    kinds = {
+        "int": (lambda: rng.randint(-5, 5),) * 2,
+        "rational": (lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),) * 2,
+        "zeta6": (lambda: rng.randint(-2, 2) + rng.randint(-2, 2) * zeta(6),) * 2,
+        "symbolic": (symbolic(("a", "b")), symbolic(("c", "a"))),
+    }
+    fvars, gvars = ("x", "a", "y", "b"), ("c", "y", "a", "x")
+
+    def form(coeff, vs, degree):
+        ix, iy = vs.index("x"), vs.index("y")
+        while True:
+            cs = [coeff() for _ in range(degree + 1)]
+            for end in (0, degree):  # a zero first or last coefficient, one time in four each
+                if rng.random() < 0.25:
+                    cs[end] = 0
+            f = MultiPoly.zero(vs)
+            for i, c in enumerate(cs):
+                e = [0] * len(vs)
+                e[ix], e[iy] = degree - i, i
+                f = f + MultiPoly(vs, {tuple(e): 1}) * c
+            if not f.is_zero():
+                return f
+
+    for name, (fc, gc) in kinds.items():
+        for m in range(1, 7):
+            for n in range(1, 7):
+                if name != "symbolic" or m + n <= 8:
+                    f, g = form(fc, fvars, m), form(gc, gvars, n)
+                    yield f"{name} resultant {m},{n}: {sylvester_resultant(f, g, XY)}"
+        for d in range(5, 9 if name != "symbolic" else 6):
+            yield f"{name} disc {d}: {binary_form_disc(form(fc, fvars, d), XY, degree=d)}"
+
+
+def test_resultant_outputs_are_pinned():
+    # any change to the printed results of the sweep changes this digest
+    text = "\n".join(_resultant_outputs())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b1379997125c03f1e1a7e6a43043d689d0ca8f80e28056d21225afe6a24e663b")
 
 
 def test_resultant_zero_input_rejected():

@@ -118,6 +118,19 @@ def test_long_digit_string_exit_2_with_position(capsys, form):
     assert "(at position" in err and "Exceeds the limit" not in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_answer_longer_than_int_str_limit_prints_in_full(capsys, json_flag):
+    # the input stays under Python's 4300-digit limit for int <-> str; the
+    # answer -4 * (10^3000 - 1)^2 has 6001 digits, and the limit is restored
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "disc", "--f", f"({'9' * 3000})^2*x^2+y^2", "--vars", "x,y",
+                         *json_flag)
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "")
+    want = "-3" + "9" * 2999 + "2" + "0" * 2999 + "4"
+    assert (json.loads(out)["poly"] if json_flag else out.strip()) == want
+
+
 def test_form_degree_above_limit_exit_3(capsys):
     code, out, err = run(capsys, "disc", "--f", "x^40 + x*y^39 - y^40", "--vars", "x,y")
     assert (code, out) == (3, "")

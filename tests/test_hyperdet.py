@@ -9,7 +9,6 @@ import pytest
 import hyperforms
 from hyperforms.errors import DomainError, UnsupportedFormatError
 from hyperforms.hyperdet import (
-    _sylvester_rows,
     binary_form_disc,
     cayley_hyperdet_222,
     det_rows,
@@ -23,6 +22,8 @@ from hyperforms.polarisation import hyperhessian, hyperresultant
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import Cyclotomic, zeta
 from hyperforms.tensor import Tensor
+
+from sylvester import sylvester_rows
 
 XY = ("x", "y")
 
@@ -42,7 +43,7 @@ def _sylvester_disc(f, xy, d):
     x, y = xy
     avec = f.partial(x).binary_coefficients(xy, d - 1)
     bvec = f.partial(y).binary_coefficients(xy, d - 1)
-    res = det_rows(_sylvester_rows(avec, bvec, d - 1, d - 1))
+    res = det_rows(sylvester_rows(avec, bvec, d - 1, d - 1))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return (res * sign) / Fraction(d) ** (d - 2)
 

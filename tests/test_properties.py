@@ -2,7 +2,7 @@
 and exact quotients over mixed ``int``, ``Fraction`` and ``zeta6``
 coefficients, the field axioms of ``Cyclotomic`` and the print/parse round
 trip of ``zeta<m>`` coefficients, contraction against the multiply route,
-equal-degree resultants, and hyperresultants of random systems against the
+resultants of any two degrees, and hyperresultants of random systems against the
 format rule."""
 
 import itertools
@@ -18,12 +18,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from hyperforms.classical import sylvester_resultant  # noqa: E402
 from hyperforms.errors import DomainError, UnsupportedFormatError  # noqa: E402
-from hyperforms.hyperdet import _sylvester_rows, det_rows, hyperdet_degree  # noqa: E402
+from hyperforms.hyperdet import det_rows, hyperdet_degree  # noqa: E402
 from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.polarisation import hyperresultant  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
+
+from sylvester import sylvester_rows  # noqa: E402
 
 bounded = settings(max_examples=60, deadline=None, database=None)
 
@@ -158,22 +160,24 @@ def test_print_parse_round_trip_with_roots_of_unity(p):
 
 
 @st.composite
-def equal_degree_pairs(draw):
-    # rational coefficients: a 12 x 12 Sylvester oracle over Q(zeta6) takes up
-    # to 0.1 s, and tests/test_classical.py covers zeta6 coefficients
-    n = draw(st.integers(1, 6))
-    coeffs = st.lists(rationals, min_size=n + 1, max_size=n + 1)
-    return n, [MultiPoly(("x", "y"), {(n - i, i): c for i, c in enumerate(draw(coeffs))})
-               for _ in range(2)]
+def form_pairs(draw):
+    # degrees drawn independently, so m < n, m = n and m > n all occur, and
+    # so do zero leading and trailing coefficients.  Rational coefficients: a
+    # 16 x 16 Sylvester oracle over Q(zeta6) is slow, and
+    # tests/test_classical.py covers zeta6 coefficients
+    degrees = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return degrees, [MultiPoly(("x", "y"), {(d - i, i): c for i, c in enumerate(
+        draw(st.lists(rationals, min_size=d + 1, max_size=d + 1)))}) for d in degrees]
 
 
 @bounded
-@given(equal_degree_pairs())
-def test_equal_degree_resultant_matches_sylvester(pair):
-    n, (f, g) = pair
+@given(form_pairs())
+def test_resultant_matches_sylvester(pair):
+    # compare printed results: == aligns variables and would hide their order
+    (m, n), (f, g) = pair
     assume(not f.is_zero() and not g.is_zero())
-    avec, bvec = f.binary_coefficients(("x", "y"), n), g.binary_coefficients(("x", "y"), n)
-    assert sylvester_resultant(f, g) == det_rows(_sylvester_rows(avec, bvec, n, n))
+    avec, bvec = f.binary_coefficients(("x", "y"), m), g.binary_coefficients(("x", "y"), n)
+    assert str(sylvester_resultant(f, g)) == str(det_rows(sylvester_rows(avec, bvec, m, n)))
 
 
 @st.composite

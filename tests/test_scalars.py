@@ -28,6 +28,13 @@ def test_small_orders_are_rational():
     assert not isinstance(zeta(2), Cyclotomic)
 
 
+def test_zeta_order_is_bounded_as_in_the_parser():
+    assert zeta(64) ** 64 == 1
+    for m in (65, 105, 10 ** 6):
+        with pytest.raises(ValueError, match="root of unity order exceeds the limit 64$"):
+            zeta(m)
+
+
 def test_demotion_to_rational():
     z = zeta(6)
     v = z ** 3
