@@ -2,10 +2,13 @@
 
 Each ``_COMMANDS`` row gives a subcommand's arguments, a ``call`` that makes
 one library call and an ``emit`` that prints its result.  Calls name library
-functions as module globals, so a tracer that rebinds a global reaches them.
+functions as module globals, so a tracer that rebinds a global reaches them;
+``verify`` is imported only when its subcommand runs, so the other commands
+never load it.
 
 Exit codes: 0 success, 1 failed verification, 2 usage or syntax errors,
-3 mathematical domain errors, 4 unsupported tensor formats.  Output is
+3 mathematical domain errors, 4 unsupported tensor formats, 5 an internal
+error (any other exception, reported in one line).  Output is
 deterministic for identical arguments and seed; ``--json`` switches every
 subcommand to machine-readable output.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -21,10 +25,15 @@ from .classical import apolar_quartic, hankel_quartic, sylvester_resultant, wron
 from .errors import DomainError, HyperformsError, UnsupportedFormatError
 from .gramm import gramm_form, project_k, skew_gramm
 from .hyperdet import binary_form_disc, hyperdet
-from .parser import parse_poly
+from .parser import _MAX_DIGITS, parse_poly
 from .polarisation import hyperhessian, hyperresultant, jacobi_form, polarize
 from .tensor import Tensor
-from .verify import SUITES, run_all, run_suite
+
+# the names of verify.SUITES in its order, so that building the parser does not load verify
+SUITES = ("prop21", "wronskian", "prop11", "prop12", "prop24", "prop41",
+          "hankel22", "skew", "glscale", "dependent", "oracle", "parser")
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+_DIGIT_RUN = re.compile(r"[\d_]+")
 
 
 def _split_names(text: str) -> tuple[str, ...]:
@@ -55,6 +64,16 @@ def _read_tensor(path: str) -> Tensor:
     return Tensor.from_json(data)
 
 
+def _vector_entry(text: str, i: int, j: int) -> Fraction:
+    """One vector component; an exponent or an over-long digit string is
+    refused before ``Fraction`` builds a number of that size."""
+    if _EXPONENT.search(text):
+        raise ValueError(f"vector {i}, entry {j}: exponents are not allowed, got {text!r}")
+    if any(len(run) > _MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+        raise ValueError(f"vector {i}, entry {j}: number has more than {_MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def _parse_vectors(text: str) -> list[list[Fraction]]:
     vectors = []
     for chunk in text.split(";"):
@@ -62,7 +81,8 @@ def _parse_vectors(text: str) -> list[list[Fraction]]:
         if not chunk:
             continue
         try:
-            vectors.append([Fraction(c.strip()) for c in chunk.split(",")])
+            vectors.append([_vector_entry(c.strip(), len(vectors) + 1, j)
+                            for j, c in enumerate(chunk.split(","), 1)])
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in vector {chunk!r}") from None
     if not vectors:
@@ -85,6 +105,8 @@ def _gramm(args):
 
 
 def _verify(args) -> int:
+    from .verify import run_all, run_suite
+
     if args.suite == "all":
         reports = run_all(args.seed, args.trials, args.range)
     else:
@@ -219,6 +241,10 @@ def run_command(argv) -> int:
         if isinstance(exc, UnsupportedFormatError):
             return 4
         return 3 if isinstance(exc, DomainError) else 2
+    except Exception as exc:  # not KeyboardInterrupt or SystemExit
+        text = " ".join(str(exc).split())  # one line, whatever the message holds
+        print(f"error: internal error: {type(exc).__name__}: {text}", file=sys.stderr)
+        return 5
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ evaluated: comparisons cross-power the bases.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -24,10 +24,10 @@ from .scalars import as_fraction, scalar_pow, zeta
 from .tensor import Tensor, check_shape
 
 
-@dataclass(frozen=True)
-class Orbit:
-    multiset: tuple[int, ...]
-    arrangements: tuple[tuple[int, ...], ...]  # ascending lexicographic
+class Orbit(namedtuple("Orbit", ("multiset", "arrangements"))):
+    """An index multiset with its arrangements in ascending lexicographic order."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -148,16 +148,15 @@ def gramm_tensor(form: Tensor, vectors) -> Tensor:
     return form
 
 
-@dataclass(frozen=True)
-class GrammValue:
+class GrammValue(namedtuple("GrammValue", ("base", "exponent"))):
     """A hyperdeterminant base together with the fractional power m/(d*deg D).
 
-    The root is never extracted; equality of two values is decided by
-    cross-powering the bases to a common integral exponent.
+    A named tuple ``(base, exponent)``: ``==`` and ``hash`` compare the pair.
+    The root is never extracted; ``same_value`` decides equality of the two
+    values by cross-powering the bases to a common integral exponent.
     """
 
-    base: MultiPoly
-    exponent: Fraction
+    __slots__ = ()
 
     def same_value(self, other: "GrammValue") -> bool:
         p, q = self.exponent.numerator, self.exponent.denominator

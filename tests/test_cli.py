@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hyperforms
+import hyperforms.verify
 from hyperforms.cli import run_command
 from hyperforms.tensor import Tensor
 
@@ -248,9 +249,9 @@ def test_gramm_cli(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text(json.dumps(
         {"shape": [2, 2], "vars": [], "entries": ["1", "0", "0", "1"]}))
-    code, out, _ = run(capsys, "gramm", "--form", str(path), "--vectors", "1,0;0,1")
-    assert code == 0
-    assert "base = 1" in out and "exponent = 1/2" in out
+    for vectors, base in ("1,0;0,1", "1"), ("1/2,0;0,-3", "9/4"), ("0.5,0;0,1", "1/4"):
+        code, out, _ = run(capsys, "gramm", "--form", str(path), "--vectors", vectors)
+        assert (code, out) == (0, f"base = {base}\nexponent = 1/2\n")
 
 
 def test_gramm_skew_cli(capsys, tmp_path):
@@ -432,3 +433,79 @@ def test_deep_nesting_exit_2(capsys):
                        "--vars", "x,y")
     assert code == 2
     assert "nested deeper" in err
+
+
+def _modules_after(*argv):
+    """The sys.modules of a fresh interpreter (no site imports) after one CLI call."""
+    script = ("import runpy, sys\n"
+              f"sys.argv = ['hyperforms', *{list(argv)!r}]\n"
+              "try:\n"
+              "    runpy.run_module('hyperforms', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit:\n"
+              "    pass\n"
+              "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperforms.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, set(proc.stderr.split())
+
+
+def test_cold_call_loads_neither_dataclasses_nor_verify():
+    out, modules = _modules_after("disc", "--f", "x^2+y^2", "--vars", "x,y")
+    assert out == "-4\n"
+    assert "hyperforms.cli" in modules
+    assert not modules & {"dataclasses", "inspect", "hyperforms.verify"}
+    out, modules = _modules_after("verify", "--suite", "prop21", "--trials", "1")
+    assert "[PASS]" in out and "hyperforms.verify" in modules
+
+
+@pytest.mark.parametrize("entry, complaint", [
+    ("1e999999999", "exponents are not allowed"),
+    ("2E-5", "exponents are not allowed"),
+    ("1" * 4301, "more than 4300 digits"),
+    ("0." + "1" * 4301, "more than 4300 digits"),
+])
+def test_gramm_vector_entry_too_large_exit_2_at_once(capsys, tmp_path, entry, complaint):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(
+        {"shape": [2, 2], "vars": [], "entries": ["1", "0", "0", "1"]}))
+    start = time.process_time()
+    code, out, err = run(capsys, "gramm", "--form", str(path), "--vectors", f"1,0;0,{entry}")
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: vector 2, entry 2: ") and complaint in err
+    assert len(err.splitlines()) == 1
+
+
+def _raiser(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+_INTERNAL = [ArithmeticError("overflow in step 3"), RecursionError("too deep"), MemoryError()]
+
+
+@pytest.mark.parametrize("exc", _INTERNAL, ids=lambda e: type(e).__name__)
+def test_unexpected_exception_exit_5(capsys, monkeypatch, exc):
+    monkeypatch.setattr(hyperforms.cli, "binary_form_disc", _raiser(exc))
+    code, out, err = run(capsys, "disc", "--f", "x^2+y^2", "--vars", "x,y")
+    assert (code, out) == (5, "")
+    assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("exc", _INTERNAL, ids=lambda e: type(e).__name__)
+def test_unexpected_exception_in_verify_suite_exit_5(capsys, monkeypatch, exc):
+    monkeypatch.setitem(hyperforms.verify.SUITES, "prop21", (_raiser(exc), 50))
+    code, out, err = run(capsys, "verify", "--suite", "prop21")
+    assert (code, out) == (5, "")
+    assert err.startswith(f"error: internal error: {type(exc).__name__}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_pass_through(capsys, monkeypatch, exc):
+    monkeypatch.setattr(hyperforms.cli, "binary_form_disc", _raiser(exc))
+    with pytest.raises(exc):
+        run_command(["disc", "--f", "x^2+y^2", "--vars", "x,y"])

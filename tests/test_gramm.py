@@ -358,3 +358,20 @@ def test_gramm_value_cross_powering():
     c = GrammValue(MultiPoly.constant(8), Fraction(1, 4))
     assert not a.same_value(c)
     assert GrammValue(one, Fraction(1, 2)).same_value(GrammValue(one, Fraction(1, 6)))
+
+
+def test_gramm_value_is_a_named_tuple():
+    base, exponent = MultiPoly.constant(4), Fraction(1, 2)
+    a, b = GrammValue(base, exponent), GrammValue(MultiPoly.constant(4), Fraction(2, 4))
+    assert (a.base, a.exponent) == tuple(a) == (base, exponent)
+    assert a == b
+    # the hash is that of the pair: none while MultiPoly is unhashable
+    for value in (a, (base, exponent)):
+        with pytest.raises(TypeError):
+            hash(value)
+    assert hash(GrammValue(4, Fraction(1, 2))) == hash(GrammValue(4, Fraction(2, 4))) == hash(
+        (4, Fraction(1, 2)))
+    assert repr(a) == "GrammValue(base=4, exponent=1/2)"
+    c = a._replace(base=MultiPoly.constant(16), exponent=Fraction(1, 4))
+    assert type(c) is GrammValue and c != a and c.same_value(a)
+    assert a == GrammValue(base, exponent)  # _replace left a as it was

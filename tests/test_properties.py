@@ -2,11 +2,16 @@
 and exact quotients over mixed ``int``, ``Fraction`` and ``zeta6``
 coefficients, the field axioms of ``Cyclotomic`` and the print/parse round
 trip of ``zeta<m>`` coefficients, contraction against the multiply route,
-resultants of any two degrees, and hyperresultants of random systems against the
-format rule."""
+resultants of any two degrees, hyperresultants of random systems against the
+format rule, and CLI argvs that may only end in documented exit codes."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hyperforms.classical import sylvester_resultant  # noqa: E402
+from hyperforms.cli import run_command  # noqa: E402
 from hyperforms.errors import DomainError, UnsupportedFormatError  # noqa: E402
 from hyperforms.hyperdet import det_rows, hyperdet_degree  # noqa: E402
 from hyperforms.parser import parse_poly  # noqa: E402
@@ -213,3 +219,110 @@ def test_hyperresultant_answers_or_raises_as_hyperdet_degree(system):
     else:
         assert expected is None
         assert isinstance(value, MultiPoly)
+
+
+# -- CLI fuzz: every argv ends in a documented exit code ---------------------------
+
+
+def _mostly(good, bad):
+    """Draw from ``good`` three times in four, so that most argvs get past parsing."""
+    return st.one_of(good, good, good, bad)
+
+
+_GOOD_FORMS = ["x^2+y^2", "x^3-2*x*y^2+y^3", "x^4+x^2*y^2+y^4", "c*x^2+y^2", "x*y", "x",
+               "0", "x^2", "y^2", "zeta6*x^2+y^2", "1/2*x^4-c*y^4", "(x+y)^3"]
+_BAD_FORMS = ["", "x^", "x**2", "(x+y", "x^2+)", "2x", "q^2", "x^2+y", "x^65", "zeta65*x",
+              "1/0*x", "x^" + "9" * 4301, "9" * 4301 + "*x", "(" * 101 + "x" + ")" * 101,
+              "x^1e9", "x^2;y"]
+_form_texts = _mostly(st.sampled_from(_GOOD_FORMS), st.one_of(
+    st.sampled_from(_BAD_FORMS), st.text(alphabet="xyc12+-*/^(). ", max_size=8)))
+_name_lists = _mostly(st.just("x,y"), st.sampled_from(["y,x", "x", "x,y,z", "", ",", "x,x", "1x"]))
+_coeffs = _mostly(st.just(["--coeffs", "c"]), st.sampled_from(
+    [[], ["--coeffs", ","], ["--coeffs", "x"]]))
+_keys = _mostly(st.lists(st.integers(1, 2), min_size=1, max_size=3).map(
+    lambda k: ",".join(map(str, k))), st.sampled_from(["1,a", ",", "0,-1", "99999999999999999999"]))
+
+
+@st.composite
+def _spoilt(draw, items, bad):
+    """A list drawn from ``items`` with, one time in four, one entry drawn from ``bad``."""
+    values = draw(items)
+    if values and not draw(st.integers(0, 3)):
+        values[draw(st.integers(0, len(values) - 1))] = draw(bad)
+    return values
+
+
+_good_entries = st.sampled_from(["1", "0", "-2", "1/3", "x", "zeta6"])
+_vectors = _spoilt(st.lists(st.lists(st.sampled_from(["1", "0", "-3", "1/2", "0.5"]),
+                                     min_size=2, max_size=2).map(",".join), max_size=3),
+                   st.sampled_from(["1/0,1", "a", "", "1,1e999999999", "2E-5,0",
+                                    "1," + "1" * 4301, "0." + "1" * 4301 + ",1"])).map(";".join)
+
+
+@st.composite
+def _tensor_json(draw):
+    if not draw(st.integers(0, 5)):
+        return draw(st.sampled_from(["", "[", "{}", "[" * 5000, '{"shape": "x"}', "null",
+                                     '{"shape": [2], "vars": [], "entries": [1, 2]}']))
+    shape = draw(_mostly(st.integers(2, 3).flatmap(lambda d: st.integers(1, 2).map(
+        lambda n: [n] * d)), st.lists(st.integers(0, 3), max_size=4)))
+    n = math.prod(shape) if draw(st.integers(0, 9)) else draw(st.integers(0, 5))
+    entries = st.lists(_good_entries, min_size=n, max_size=n)
+    return json.dumps({"shape": shape, "vars": draw(st.sampled_from([["x"]] * 5 + [["x", "x"]])),
+                       "entries": draw(_spoilt(entries, st.sampled_from(["x^", "c", "9" * 4301])))})
+
+
+@st.composite
+def cli_argvs(draw):
+    """(command, argv, tensor JSON text or None); --tensor and --form name one file."""
+    command = draw(st.sampled_from(
+        ["polarize", "hyperdet", "disc", "resultant", "hyperhessian", "hyperresultant",
+         "jacobi", "wronskian", "hankel", "apolar", "gramm", "project", "verify"]))
+    argv, tensor = [command], None
+    if command in ("hyperdet", "project", "gramm"):
+        tensor = draw(_tensor_json())
+        argv += ["--form" if command == "gramm" else "--tensor", "TENSOR"]
+        if command == "project":
+            argv += ["--k", str(draw(st.integers(-1, 7)))]
+        if command == "gramm":
+            argv += ["--vectors", draw(_vectors)]
+            argv += draw(st.sampled_from([[], ["--skew", "1"], ["--skew", "-1"]]))
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from(["prop21", "prop12", "skew", "oracle",
+                                                  "parser", "all", "nope"])),
+                 "--seed", str(draw(st.integers(0, 3))),
+                 "--trials", draw(st.sampled_from(["0", "1", "2", "-1", "1001", "x"])),
+                 "--range", draw(st.sampled_from(["0", "1", "9", "-1"]))]
+    else:
+        repeat = command in ("hyperresultant", "jacobi", "wronskian")
+        for text in draw(st.lists(_form_texts, min_size=1, max_size=3 if repeat else 1)):
+            argv += ["--f", text]
+        if command == "resultant":
+            argv += ["--g", draw(_form_texts)]
+        argv += ["--vars", draw(_name_lists), *draw(_coeffs)]
+        if command in ("polarize", "hyperhessian", "jacobi"):
+            argv += ["--K", draw(_keys)]
+        if command == "disc":
+            argv += draw(st.sampled_from([[], ["--degree", "2"], ["--degree", "x"]]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return command, argv, tensor
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cli_argvs())
+def test_cli_exits_only_with_documented_codes(case):
+    command, argv, tensor = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if tensor is not None:
+            path = os.path.join(tmp, "t.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(tensor)
+            argv = [path if a == "TENSOR" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+    assert code in (0, 2, 3, 4) or (code == 1 and command == "verify"), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (3, 4):
+        assert err.getvalue().count("\n") == 1
