@@ -7,6 +7,8 @@ fresh auxiliary variables (a re-keying of the entries' terms, not a product),
 take the hyperdeterminant of the resulting pencil (a determinant, or again a
 Schlaefli step), then take the discriminant of that form in the auxiliary
 variables.  A hardcoded degree-4 expansion for 2x2x2 cross-checks the recursion.
+A numeric matrix or binary form, every entry a constant, is computed on the
+values (``int``, ``Fraction``, ``Cyclotomic``) and only the result is wrapped.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
 the coefficients.  Degrees 5 to 32, and resultants of forms of any degrees
@@ -19,7 +21,8 @@ from __future__ import annotations
 import functools
 
 from .errors import DomainError, UnsupportedFormatError
-from .poly import MultiPoly, merge_vars
+from .poly import MultiPoly, constant_values, merge_vars
+from .scalars import exact_quotient
 from .tensor import Tensor, check_shape, fresh_names
 
 
@@ -59,47 +62,58 @@ def hyperdet_degree(shape: tuple[int, ...]) -> int:
 # -- exact determinants ------------------------------------------------------
 
 
-def det_rows(rows) -> MultiPoly:
-    """Determinant of a square list-of-lists of polynomials.
+def _eliminate(m, cross, divide):
+    """Determinant of a nonempty square list-of-lists ``m`` (overwritten) over an
+    integral domain with cross(a, b, c, d) = a*b - c*d and exact division ``divide``:
+    cofactors for n == 3, else Bareiss elimination, which for n <= 2 divides nothing."""
+    n = len(m)
+    if n == 3:
+        return (m[0][0] * cross(m[1][1], m[2][2], m[1][2], m[2][1])
+                - m[0][1] * cross(m[1][0], m[2][2], m[1][2], m[2][0])
+                + m[0][2] * cross(m[1][0], m[2][1], m[1][1], m[2][0]))
+    sign, prev = 1, None
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return m[k][k]  # a zero column; the zero pivot is the ring's zero
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                elt = cross(m[k][k], m[i][j], m[i][k], m[k][j])
+                m[i][j] = elt if prev is None else divide(elt, prev)
+        prev = m[k][k]
+    return m[-1][-1] if sign == 1 else -m[-1][-1]
 
-    The empty matrix gives 1 and n == 3 uses cofactor expansion.  Every other
-    size goes through Bareiss fraction-free elimination with exact division,
-    so entries never leave the polynomial ring; for n <= 2 it divides nothing.
+
+def _poly_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    quot = a.exact_div(b)
+    if quot is None:  # cannot happen for true minors
+        raise ArithmeticError("fraction-free elimination lost exactness")
+    return quot
+
+
+def det_rows(rows) -> MultiPoly:
+    """Determinant of a square list-of-lists of polynomials, on the union of their
+    variables; the empty matrix gives 1.  Constant entries are eliminated as their
+    values (``int``, ``Fraction``, ``Cyclotomic``) and only the result is wrapped;
+    other entries stay polynomials, divided exactly, so they never leave the ring.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DomainError("determinant needs a square matrix")
     merged = merge_vars(p.vars for row in rows for p in row)
-    m = [[p.with_vars(merged) for p in row] for row in rows]
     if n == 0:
         return MultiPoly.constant(1)
-    if n == 3:
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(merged)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                elt = MultiPoly.dot(merged, (m[k][k], m[i][k]), (m[i][j], -m[k][j]))
-                if prev is not None:
-                    quot = elt.exact_div(prev)
-                    if quot is None:  # cannot happen for true minors
-                        raise ArithmeticError("fraction-free elimination lost exactness")
-                    elt = quot
-                m[i][j] = elt
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    if (values := constant_values(p for row in rows for p in row)) is not None:
+        det = _eliminate([values[i * n:(i + 1) * n] for i in range(n)],
+                         lambda a, b, c, d: a * b - c * d, exact_quotient)
+        return MultiPoly.constant(det, merged)
+    return _eliminate([[p.with_vars(merged) for p in row] for row in rows],
+                      lambda a, b, c, d: MultiPoly.dot(merged, (a, c), (b, -d)), _poly_quotient)
 
 
 def det_square(t: Tensor) -> MultiPoly:
@@ -139,8 +153,9 @@ def _resultant_rows(avec, bvec):
     return shifted + b[::-1][:n]
 
 
-def _closed_form_disc(cs) -> MultiPoly:
-    """Discriminant from the coefficient list [c0, ..., cd] of a form of degree 2, 3 or 4."""
+def _closed_form_disc(cs):
+    """Discriminant from the coefficient list [c0, ..., cd] of a form of degree 2, 3 or 4,
+    polynomials or scalars alike."""
     if len(cs) == 3:
         a, b, c = cs
         return b * b - 4 * (a * c)
@@ -151,7 +166,7 @@ def _closed_form_disc(cs) -> MultiPoly:
     a, b, c, d, e = cs
     inv_i = 12 * (a * e) - 3 * (b * d) + c * c
     inv_j = c * (72 * (a * e) + 9 * (b * d) - 2 * (c * c)) - 27 * (a * d * d + e * b * b)
-    return (4 * inv_i ** 3 - inv_j * inv_j) / 27
+    return exact_quotient(4 * inv_i ** 3 - inv_j * inv_j, 27)
 
 
 def _bounded_degree(what: str, d: int, least: int) -> int:
@@ -183,7 +198,10 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
         res = det_rows(_resultant_rows([(d - i) * c for i, c in enumerate(cs[:-1])],
                                        [i * c for i, c in enumerate(cs) if i]))
         return res * (-1) ** (d * (d - 1) // 2) / d ** (d - 2)
-    return _closed_form_disc(cs)
+    values = constant_values(cs)
+    if values is None:
+        return _closed_form_disc(cs)
+    return MultiPoly.constant(_closed_form_disc(values), cs[0].vars)
 
 
 def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:

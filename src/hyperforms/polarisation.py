@@ -15,7 +15,7 @@ import math
 
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
-from .poly import MultiPoly
+from .poly import MultiPoly, form_vars
 from .tensor import Tensor, check_shape, multi_indices
 
 
@@ -49,7 +49,7 @@ def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
     key = tuple(int(k) for k in key)
     if not key or any(k < 1 for k in key):
         raise DomainError(f"polarisation key must be positive integers, got {key}")
-    geo = tuple(geo_vars)
+    geo = form_vars(geo_vars)
     f = f.extend_vars(geo)
     k = _form_degree(f, geo)
     total = sum(key)
@@ -88,7 +88,7 @@ def jacobi_form(forms, key, geo_vars) -> Tensor:
     forms = list(forms)
     if not forms:
         raise DomainError("empty system of forms")
-    geo = tuple(geo_vars)
+    geo = form_vars(geo_vars)
     _system_degree(forms, geo)
     pols = [polarize(f, key, geo) for f in forms]
     base = pols[0].shape
@@ -103,7 +103,7 @@ def hyperresultant(forms, geo_vars) -> MultiPoly:
     variables, two or three binary quadratics and two binary cubics.
     """
     forms = list(forms)
-    geo = tuple(geo_vars)
+    geo = form_vars(geo_vars)
     if not forms:
         raise DomainError("empty system of forms")
     k = _system_degree(forms, geo)
@@ -111,11 +111,14 @@ def hyperresultant(forms, geo_vars) -> MultiPoly:
     return hyperdet(jacobi_form(forms, (1,) * k, geo))
 
 
+_MAX_STEPS = 64  # the parser's degree bound
+
+
 def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
     """Iterated gradient: the rank-r tensor of all order-r partials."""
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    geo = tuple(geo_vars)
+    if not 0 <= steps <= _MAX_STEPS:  # before the shape (n,) * steps is built
+        raise DomainError(f"steps must be between 0 and {_MAX_STEPS}, got {steps}")
+    geo = form_vars(geo_vars)
     f = f.extend_vars(geo)
     n = len(geo)
     derivs = _derivatives(f, geo)

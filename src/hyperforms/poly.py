@@ -29,11 +29,29 @@ def merge_vars(tuples) -> tuple[str, ...]:
     return tuple(dict.fromkeys(v for vs in tuples for v in vs))
 
 
+def form_vars(names) -> tuple[str, ...]:
+    """Form variables as a tuple, refused when a name repeats."""
+    if len(set(vs := tuple(names))) != len(vs):
+        raise DomainError(f"form variables must be distinct, got {vs}")
+    return vs
+
+
 def binary_vars(xy) -> tuple[str, ...]:
     """The form variables of a binary form, refused unless there are exactly two."""
-    if len(xy := tuple(xy)) != 2:
+    if len(xy := form_vars(xy)) != 2:
         raise DomainError(f"a binary form needs exactly two form variables, got {len(xy)}")
     return xy
+
+
+def constant_values(polys) -> list | None:
+    """The value of each constant polynomial (0 for zero, integral values as ``int``),
+    or None at the first polynomial with a variable term."""
+    values = []
+    for p in polys:
+        if len(t := p.terms) > 1 or t and any(next(iter(t))):
+            return None
+        values.append(next(iter(t.values()), 0))
+    return values
 
 
 def _coerce_coeff(c):
@@ -75,8 +93,12 @@ class MultiPoly:
             e = tuple(exps)
             if len(e) != n:
                 raise ValueError(f"exponent vector {e} has wrong length for {vs}")
-            if any(x < 0 for x in e):
-                raise ValueError(f"negative exponent in {e}")
+            if any(type(x) is not int or x < 0 for x in e):  # one scan; sort out the rare case
+                if not all(isinstance(x, int) for x in e):
+                    raise TypeError(f"exponents must be integers, got {e}")
+                if any(x < 0 for x in e):
+                    raise ValueError(f"negative exponent in {e}")
+                e = tuple(map(int, e))  # a bool becomes a plain int
             c = _coerce_coeff(c)
             if c:
                 tidy[e] = c

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from hyperforms.gramm import GrammValue, gramm_form, project_k, skew_gramm
-from hyperforms.hyperdet import binary_form_disc, hyperdet
+from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta
@@ -120,6 +120,24 @@ def test_binary_form_disc_stays_exact(degree):
         f = MultiPoly(XY, {(degree - i, i): coeff() for i in range(degree + 1)})
         disc = binary_form_disc(f, XY, degree=degree)
         check_exact([disc, disc.as_scalar()])
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_numeric_det_rows_stays_exact(n):
+    # constant entries run the elimination on scalars, the cofactors at n == 3 and
+    # Bareiss otherwise; a zero leading entry forces a row swap
+    rng = random.Random(n)
+    z = zeta(6)
+    for coeff in (lambda: rng.randint(-9, 9),
+                  lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                  lambda: rng.randint(-3, 3) + rng.randint(-3, 3) * z,
+                  lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * z + rng.randint(-3, 3)):
+        for zero_pivot in (False, True):
+            rows = [[coeff() for _ in range(n)] for _ in range(n)]
+            if zero_pivot and n:
+                rows[0][0] = 0
+            det = det_rows([[MultiPoly.constant(c) for c in row] for row in rows])
+            check_exact([det, det.as_scalar()])
 
 
 def test_hyperdet_and_gramm_forms_stay_exact():

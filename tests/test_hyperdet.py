@@ -181,6 +181,33 @@ def test_det_bareiss_matches_cofactor_for_4x4():
     assert det_rows([[MultiPoly.zero(), x], [y, z]]) == -(x * y)
 
 
+def test_numeric_matrices_and_forms_never_reach_polynomial_arithmetic(monkeypatch):
+    rng = random.Random(19)
+    t = rand_tensor(rng, (6, 6))
+    quartic = MultiPoly(XY, {(4 - i, i): rng.randint(-9, 9) for i in range(5)})
+    expected = det_square(t), binary_form_disc(quartic)
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic on a numeric input")
+
+    for name in ("dot", "exact_div", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    assert (det_square(t), binary_form_disc(quartic)) == expected
+
+
+def test_numeric_results_keep_the_variables_of_the_polynomial_route():
+    a, bc = MultiPoly.constant(2, ("a",)), MultiPoly.constant(3, ("b", "c"))
+    for n in range(2, 7):  # triangular: the diagonal on ("a",), one entry below on ("b", "c")
+        rows = [[a if i == j else MultiPoly.zero() for j in range(n)] for i in range(n)]
+        rows[-1][0] = bc
+        det = det_rows(rows)
+        assert det.vars == ("a", "b", "c") and det == 2 ** n, (n, det)
+    assert det_rows([[MultiPoly.zero(("a",)), bc], [MultiPoly.zero(), a]]).vars == ("a", "b", "c")
+    for degree in (2, 3, 4, 5):
+        f = MultiPoly(("c", "x", "y"), {(0, degree, 0): 1, (0, 0, degree): 1})
+        assert binary_form_disc(f).vars == ("c",)
+
+
 def test_det_rejects_nonsquare_and_large():
     with pytest.raises(DomainError):
         det_square(Tensor.zeros((2, 3)))

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hyperforms
 from hyperforms.classical import hankel_matrix, sylvester_resultant
 from hyperforms.errors import DomainError, UnsupportedFormatError
-from hyperforms.hyperdet import det_rows
+from hyperforms.hyperdet import binary_form_disc, det_rows
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.polarisation import (
@@ -353,3 +358,46 @@ def test_jacobi_sequence_slot_symmetry():
         for j in range(2):
             for k in range(2):
                 assert t[i, j, k] == t[j, i, k] == t[k, j, i]
+
+
+def test_jacobi_sequence_steps_are_bounded():
+    for steps in (-1, 65):
+        with pytest.raises(DomainError, match=f"steps must be between 0 and 64, got {steps}$"):
+            jacobi_sequence(P("x*y"), steps, XY)
+
+
+def test_jacobi_sequence_refuses_huge_steps_before_building_a_shape():
+    # (2,) * 10**8 alone is 800 MB; in a child with a 1 GB address space and a
+    # timeout, a regression fails fast instead of hanging or swapping
+    script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+              "from hyperforms.parser import parse_poly; "
+              "from hyperforms.polarisation import jacobi_sequence; "
+              "jacobi_sequence(parse_poly('x*y', ('x', 'y')), 10**8, ('x', 'y'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperforms.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "hyperforms.errors.DomainError: steps must be between 0 and 64, got 100000000")
+
+
+# -- repeated form variables ---------------------------------------------------------------
+
+
+def test_repeated_form_variables_are_refused():
+    # with ("x", "x") these described forms that do not exist: a disc and a
+    # hyperhessian of 0 and a 2x2 tensor of 4s
+    xx = ("x", "x")
+    cubic, quadric = P("x^3"), P("2*x^2")
+    calls = [lambda: binary_form_disc(cubic, xx),
+             lambda: hyperhessian(cubic, (1, 1, 1), xx),
+             lambda: polarize(quadric, (1, 1), xx),
+             lambda: polarize(quadric, (1,), ("x", "y", "x")),
+             lambda: jacobi_form([quadric, quadric], (1,), xx),
+             lambda: hyperresultant([quadric, quadric], xx),
+             lambda: jacobi_sequence(cubic, 2, xx),
+             lambda: cubic.binary_coefficients(xx),
+             lambda: sylvester_resultant(cubic, quadric, xx)]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^form variables must be distinct, got \("):
+            call()

@@ -8,7 +8,8 @@ import pytest
 import hyperforms
 from hyperforms.errors import DomainError
 from hyperforms.parser import parse_poly
-from hyperforms.poly import MultiPoly
+from hyperforms.poly import MultiPoly, constant_values
+from hyperforms.scalars import zeta
 
 XY = ("x", "y")
 
@@ -237,6 +238,29 @@ def test_pencil_realigns_parts_on_other_variables():
 
 
 # -- canonical form ------------------------------------------------------------------
+
+
+def test_constructor_refuses_exponents_that_are_not_integers():
+    for bad in (1.5, 2.0, Fraction(2), "2", None):
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            MultiPoly(("x", "y"), {(bad, 1): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(("x", "y"), {(2, -1): 1})
+    p = MultiPoly(("x", "y"), {(True, 2): 3, (0, False): 1})
+    assert p.terms == {(1, 2): 3, (0, 0): 1}
+    assert all(type(x) is int for e in p.terms for x in e)
+    assert str(p) == "3*x*y^2 + 1"
+
+
+def test_constant_values_reads_constants_only():
+    xy = ("x", "y")
+    values = constant_values([MultiPoly.zero(xy), MultiPoly.constant(Fraction(6, 3), xy),
+                              MultiPoly.constant(Fraction(1, 2)), MultiPoly.constant(zeta(6), xy)])
+    assert values == [0, 2, Fraction(1, 2), zeta(6)]
+    assert [type(v) for v in values[:2]] == [int, int]
+    assert constant_values([]) == []
+    for polys in ([P("x")], [MultiPoly.constant(1), P("x + 1")], [P("x*y + x")]):
+        assert constant_values(polys) is None
 
 
 def test_no_stored_zero_coefficients():

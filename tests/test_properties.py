@@ -24,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hyperforms.classical import sylvester_resultant  # noqa: E402
 from hyperforms.cli import run_command  # noqa: E402
 from hyperforms.errors import DomainError, UnsupportedFormatError  # noqa: E402
-from hyperforms.hyperdet import det_rows, hyperdet_degree  # noqa: E402
+from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet_degree  # noqa: E402
 from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.polarisation import hyperresultant  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
@@ -184,6 +184,63 @@ def test_resultant_matches_sylvester(pair):
     assume(not f.is_zero() and not g.is_zero())
     avec, bvec = f.binary_coefficients(("x", "y"), m), g.binary_coefficients(("x", "y"), n)
     assert str(sylvester_resultant(f, g)) == str(det_rows(sylvester_rows(avec, bvec, m, n)))
+
+
+# -- numeric inputs: the scalar route against the polynomial route --------------------
+
+
+_T = ("t",)
+_numbers = st.one_of(ints, rationals, st.builds(lambda a, b: a + b * zeta(6), ints, ints))
+
+
+def _at_zero(p):
+    """The value at t = 0 of a polynomial in t."""
+    return p.subs({"t": 0}).as_scalar()
+
+
+@st.composite
+def numeric_matrices(draw):
+    # zero entries are common; a zero row, a zero column or a zero leading pivot is
+    # forced one time in four each.  N (small integers, not all zero) makes the
+    # entries of M + t*N polynomials, so that side runs the polynomial route.
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), _numbers)
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    spoil, k = draw(st.integers(0, 3)), draw(st.integers(0, n - 1))
+    if spoil == 1:
+        m[k] = [0] * n
+    elif spoil == 2:
+        for row in m:
+            row[k] = 0
+    elif spoil == 3:
+        m[0][0] = 0
+    nudge = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
+    nudge[k][draw(st.integers(0, n - 1))] = 1
+    return m, nudge
+
+
+@bounded
+@given(numeric_matrices())
+def test_numeric_det_matches_polynomial_route(case):
+    m, nudge = case
+    t = MultiPoly.variable("t")
+    det = det_rows([[MultiPoly.constant(c) for c in row] for row in m])
+    oracle = det_rows([[c + v * t for c, v in zip(row, vs)] for row, vs in zip(m, nudge)])
+    assert det.vars == () and det == _at_zero(oracle)
+
+
+@bounded
+@given(st.integers(2, 6).flatmap(lambda d: st.tuples(
+    st.lists(st.one_of(st.just(0), _numbers), min_size=d + 1, max_size=d + 1),
+    st.lists(st.integers(-1, 1), min_size=d + 1, max_size=d + 1).filter(any))))
+def test_numeric_binary_disc_matches_polynomial_route(case):
+    cs, nudge = case
+    d = len(cs) - 1
+    t = MultiPoly.variable("t", ("x", "y", "t"))
+    f = MultiPoly(("x", "y", "t"), {(d - i, i, 0): c for i, c in enumerate(cs)})
+    g = MultiPoly(("x", "y", "t"), {(d - i, i, 0): v for i, v in enumerate(nudge)})
+    disc = binary_form_disc(f, ("x", "y"), degree=d)
+    assert disc.vars == _T and disc == _at_zero(binary_form_disc(f + t * g, ("x", "y"), degree=d))
 
 
 @st.composite
