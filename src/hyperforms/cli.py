@@ -25,7 +25,7 @@ from .classical import apolar_quartic, hankel_quartic, sylvester_resultant, wron
 from .errors import DomainError, HyperformsError, UnsupportedFormatError
 from .gramm import gramm_form, project_k, skew_gramm
 from .hyperdet import binary_form_disc, hyperdet
-from .parser import _MAX_DIGITS, parse_poly
+from .parser import MAX_DIGITS, parse_poly
 from .polarisation import hyperhessian, hyperresultant, jacobi_form, polarize
 from .tensor import Tensor
 
@@ -69,8 +69,8 @@ def _vector_entry(text: str, i: int, j: int) -> Fraction:
     refused before ``Fraction`` builds a number of that size."""
     if _EXPONENT.search(text):
         raise ValueError(f"vector {i}, entry {j}: exponents are not allowed, got {text!r}")
-    if any(len(run) > _MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
-        raise ValueError(f"vector {i}, entry {j}: number has more than {_MAX_DIGITS} digits")
+    if any(len(run) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+        raise ValueError(f"vector {i}, entry {j}: number has more than {MAX_DIGITS} digits")
     return Fraction(text)
 
 

@@ -12,6 +12,7 @@ evaluated: comparisons cross-power the bases.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -92,6 +93,7 @@ def project_k(t: Tensor, k: int) -> Tensor:
     """
     d, dim = _hypercubic_dims(t)
     fact = factorial(d)
+    k = operator.index(k)
     if not 0 <= k < fact:
         raise DomainError(f"component index must satisfy 0 <= k < {fact}, got {k}")
     table = orbit_ord(d, dim)

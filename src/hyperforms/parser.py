@@ -31,9 +31,9 @@ _ZETA = re.compile(r"zeta([1-9][0-9]*)$")
 _MAX_DEPTH = 100
 # Powers are expanded eagerly; refuse large exponents and high-degree powers
 # before the expansion can run for minutes.
-_MAX_EXPONENT = 64
+MAX_EXPONENT = 64
 # Python's own limit for int() of a decimal string, refused here with a position.
-_MAX_DIGITS = 4300
+MAX_DIGITS = 4300
 
 
 def _tokenize(text: str):
@@ -120,8 +120,8 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.take()
             n = int(text) if len(text.lstrip("0")) <= 2 else None  # no int() of a huge string
-            if n is None or n > _MAX_EXPONENT or n * p.total_degree() > _MAX_EXPONENT:
-                raise ParseError(f"power exceeds the exponent and degree limit {_MAX_EXPONENT}",
+            if n is None or n > MAX_EXPONENT or n * p.total_degree() > MAX_EXPONENT:
+                raise ParseError(f"power exceeds the exponent and degree limit {MAX_EXPONENT}",
                                  pos)
             return p ** n
         return p
@@ -130,8 +130,8 @@ class _Parser:
         kind, text, pos = self.take()
         if kind == "number":
             parts = text.split("/")
-            if any(len(part.strip()) > _MAX_DIGITS for part in parts):
-                raise ParseError(f"number has more than {_MAX_DIGITS} digits", pos)
+            if any(len(part.strip()) > MAX_DIGITS for part in parts):
+                raise ParseError(f"number has more than {MAX_DIGITS} digits", pos)
             if len(parts) == 1:
                 return MultiPoly.constant(int(text), self.vars)
             num, den = map(int, parts)

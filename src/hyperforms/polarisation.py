@@ -12,9 +12,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
+from .parser import MAX_EXPONENT
 from .poly import MultiPoly, form_vars
 from .tensor import Tensor, check_shape, multi_indices
 
@@ -46,7 +48,7 @@ def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
     Every entry is homogeneous of degree k - (k_1 + ... + k_d) in the
     geometric variables, and slots with equal k_i may be exchanged freely.
     """
-    key = tuple(int(k) for k in key)
+    key = tuple(map(operator.index, key))
     if not key or any(k < 1 for k in key):
         raise DomainError(f"polarisation key must be positive integers, got {key}")
     geo = form_vars(geo_vars)
@@ -111,13 +113,11 @@ def hyperresultant(forms, geo_vars) -> MultiPoly:
     return hyperdet(jacobi_form(forms, (1,) * k, geo))
 
 
-_MAX_STEPS = 64  # the parser's degree bound
-
-
 def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
     """Iterated gradient: the rank-r tensor of all order-r partials."""
-    if not 0 <= steps <= _MAX_STEPS:  # before the shape (n,) * steps is built
-        raise DomainError(f"steps must be between 0 and {_MAX_STEPS}, got {steps}")
+    steps = operator.index(steps)
+    if not 0 <= steps <= MAX_EXPONENT:  # the parser's degree bound, before (n,) * steps
+        raise DomainError(f"steps must be between 0 and {MAX_EXPONENT}, got {steps}")
     geo = form_vars(geo_vars)
     f = f.extend_vars(geo)
     n = len(geo)

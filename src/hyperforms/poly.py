@@ -161,13 +161,9 @@ class MultiPoly:
     def as_scalar(self):
         """The value of a constant polynomial (0 for the zero polynomial);
         a rational value is returned as a ``Fraction``."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            e, c = next(iter(self.terms.items()))
-            if not any(e):
-                return Fraction(c) if type(c) is int else c
-        raise DomainError(f"not a constant polynomial: {self}")
+        if (values := constant_values([self])) is None:
+            raise DomainError(f"not a constant polynomial: {self}")
+        return Fraction(values[0]) if type(values[0]) is int else values[0]
 
     # -- variable plumbing ---------------------------------------------------
 
@@ -257,7 +253,8 @@ class MultiPoly:
         return MultiPoly._raw(p.vars, out)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._promote(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         if type(other) is not MultiPoly:  # isinstance against Fraction, an ABC, is slow
@@ -320,7 +317,7 @@ class MultiPoly:
 
     __hash__ = None  # mathematical equality across variable lists
 
-    # -- calculus and substitution ----------------------------------------------
+    # -- calculus and re-keying -------------------------------------------------
 
     def partial(self, name: str, order: int = 1) -> "MultiPoly":
         """Iterated formal partial derivative (no factorial normalisation)."""
@@ -342,43 +339,19 @@ class MultiPoly:
                 break
         return MultiPoly._raw(self.vars, dict(terms))
 
-    def subs(self, assignment: dict) -> "MultiPoly":
-        """Simultaneous substitution of scalars or polynomials for variables."""
-        for v in assignment:
-            if v not in self.vars:
-                raise DomainError(f"unknown variable {v!r}; have {self.vars}")
-        if not assignment:
-            return self
-        values = {}
-        for v, val in assignment.items():
-            if isinstance(val, COEFF_TYPES):
-                val = MultiPoly.constant(val)
-            values[v] = val
-        keep = tuple(v for v in self.vars if v not in values)
-        result = MultiPoly.zero(keep)
-        pow_cache: dict[tuple[str, int], MultiPoly] = {}
-        for e, c in self.terms.items():
-            piece = MultiPoly._raw(
-                keep,
-                {tuple(x for v, x in zip(self.vars, e) if v in keep): c})
-            for v, x in zip(self.vars, e):
-                if x and v in values:
-                    key = (v, x)
-                    pw = pow_cache.get(key)
-                    if pw is None:
-                        pw = values[v] ** x
-                        pow_cache[key] = pw
-                    piece = piece * pw
-            result = result + piece
-        return result
-
     def dehomogenize(self, keep: str, set_one: str) -> "MultiPoly":
         """Set ``set_one`` to 1, producing a polynomial in ``keep`` (plus any
-        coefficient variables)."""
+        coefficient variables): its exponent is dropped, and the coefficients
+        of keys that then coincide are summed."""
         if keep not in self.vars or set_one not in self.vars:
             raise DomainError(
                 f"variables ({keep!r}, {set_one!r}) not both present in {self.vars}")
-        return self.subs({set_one: 1}).drop_vars([set_one])
+        i = self.vars.index(set_one)
+        out = {}
+        for e, c in self.terms.items():
+            k = e[:i] + e[i + 1:]
+            out[k] = out[k] + c if k in out else c
+        return MultiPoly(self.vars[:i] + self.vars[i + 1:], out)
 
     def exact_div(self, divisor: "MultiPoly"):
         """Exact quotient self/divisor, or None when not divisible.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 
 from .errors import DomainError
 from .poly import COEFF_TYPES, MultiPoly, merge_vars
@@ -21,7 +22,7 @@ _MAX_ENTRIES = 8 ** 4  # every entry is stored, so bound the count before buildi
 
 
 def check_shape(shape) -> tuple[int, ...]:
-    s = tuple(int(n) for n in shape)
+    s = tuple(map(operator.index, shape))
     if any(n < 1 for n in s):
         raise DomainError(f"shape dimensions must be positive: {s}")
     if any(n > 8 for n in s):
@@ -38,22 +39,14 @@ def multi_indices(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
         raise DomainError("need at least one variable")
     if degree < 0:
         raise DomainError("degree must be >= 0")
-
-    def gen(n, k):
-        if n == 1:
-            yield (k,)
-            return
-        for first in range(k, -1, -1):
-            for rest in gen(n - 1, k - first):
-                yield (first,) + rest
-
-    return tuple(gen(nvars, degree))
+    return tuple(tuple(c.count(i) for i in range(nvars))
+                 for c in itertools.combinations_with_replacement(range(nvars), degree))
 
 
-def fresh_names(avoid, count: int, base: str = "u") -> tuple[str, ...]:
+def fresh_names(avoid, count: int) -> tuple[str, ...]:
     """Deterministic variable names not colliding with ``avoid``."""
     taken = set(avoid)
-    prefix = base
+    prefix = "u"
     while any(f"{prefix}{i}" in taken for i in range(count)):
         prefix = "_" + prefix
     return tuple(f"{prefix}{i}" for i in range(count))

@@ -13,8 +13,9 @@ identity to a failure carrying both witnesses.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, repeat, starmap
 
@@ -54,14 +55,11 @@ def is_23_smooth(q: Fraction) -> bool:
     return factored_constant(q).endswith("(1/1)")
 
 
-@dataclass
-class IdentityRecord:
-    id: str
-    trials: int
-    passed: bool
-    constant: Fraction | None = None
-    nominal: str | None = None
-    counterexample: str | None = None
+class IdentityRecord(namedtuple("IdentityRecord", (
+        "id", "trials", "passed", "constant", "nominal", "counterexample"))):
+    """The outcome of one identity: a named tuple, built with its final fields."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,12 +72,10 @@ class IdentityRecord:
         }
 
 
-@dataclass
-class VerifyReport:
-    suite: str
-    seed: int
-    coeff_range: int
-    identities: list[IdentityRecord] = field(default_factory=list)
+class VerifyReport(namedtuple("VerifyReport", ("suite", "seed", "coeff_range", "identities"))):
+    """The identity records of one suite run: a named tuple."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -150,7 +146,7 @@ def _holds(name: str, trials: int, verdicts, nominal: str | None = None) -> Iden
     """Read at most ``trials`` verdicts from the lazy iterable ``verdicts``; the
     first counterexample string fails the identity and ends the stream."""
     bad = next(filter(None, islice(verdicts, trials)), None)
-    return IdentityRecord(name, trials, bad is None, nominal=nominal, counterexample=bad)
+    return IdentityRecord(name, trials, bad is None, None, nominal, bad)
 
 
 def _pinned(name: str, trials: int, ratios, nominal: str | None = None) -> IdentityRecord:
@@ -166,8 +162,7 @@ def _pinned(name: str, trials: int, ratios, nominal: str | None = None) -> Ident
             return f"{first[0][1]} -> {first[0][0]}; {witness} -> {value}"
 
     rec = _holds(name, trials, starmap(verdict, ratios), nominal)
-    rec.constant = first[0][0] if rec.passed and first else None
-    return rec
+    return rec._replace(constant=first[0][0]) if rec.passed and first else rec
 
 
 # -- suites -------------------------------------------------------------------
@@ -268,11 +263,10 @@ def suite_prop41(rng, trials, bound):
     recs = [_pinned(name, trials, starmap(ratio, draws), nominal) for name, nominal, ratio in (
         ("disc-of-iterated-hessian", "2^36*3^6", disc_ratio),
         ("resultant-with-iterated-hessian", "2^24*3^12", resultant_ratio))]
-    for rec in recs:
-        if rec.constant is not None and not is_23_smooth(rec.constant):
-            rec.passed = False
-            rec.counterexample = f"constant {rec.constant} has prime factors beyond 2 and 3"
-    return recs
+    rough = "constant {} has prime factors beyond 2 and 3"
+    return [rec._replace(passed=False, counterexample=rough.format(rec.constant))
+            if rec.constant is not None and not is_23_smooth(rec.constant) else rec
+            for rec in recs]
 
 
 def suite_hankel22(rng, trials, bound):
@@ -281,8 +275,7 @@ def suite_hankel22(rng, trials, bound):
     bad = ("ratio is not a polynomial" if quot is None
            else f"ratio is not constant: {quot}" if quot.total_degree() > 0 else None)
     rec = _holds("polarised-pair-hessian-vs-hankel", 1, [bad])
-    rec.constant = None if bad else quot.as_scalar()
-    return [rec]
+    return [rec._replace(constant=None if bad else quot.as_scalar())]
 
 
 def suite_skew(rng, trials, bound):
@@ -417,7 +410,8 @@ def run_suite(name: str, seed: int = 0, trials: int | None = None,
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     fn, default_trials = SUITES[name]
-    trials = default_trials if trials is None else trials
+    trials = default_trials if trials is None else operator.index(trials)
+    coeff_range = operator.index(coeff_range)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if trials > _MAX_TRIALS:  # prop41 and skew hold every draw at once

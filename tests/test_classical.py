@@ -17,6 +17,7 @@ from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import zeta
 
+from substitute import subs
 from sylvester import sylvester_rows
 
 XY = ("x", "y")
@@ -79,7 +80,7 @@ def test_resultant_against_root_evaluation():
             alpha = Fraction(rng.randint(-9, 9))
             lin = MultiPoly(XY, {(1, 0): 1, (0, 1): -alpha})
             g = random_form(rng, degree)
-            want = g.subs({"x": alpha, "y": 1}).as_scalar()
+            want = subs(g, {"x": alpha, "y": 1}).as_scalar()
             assert sylvester_resultant(lin, g).as_scalar() == want
 
 
@@ -256,7 +257,7 @@ def _gl_weight(invariant):
     f = parse_poly("c40*x^4 + c31*x^3*y + c22*x^2*y^2 + c13*x*y^3 + c04*y^4", allv)
     x, y = parse_poly("x", allv), parse_poly("y", allv)
     a, b, c, d = (parse_poly(v, allv) for v in gv)
-    moved = f.subs({"x": a * x + b * y, "y": c * x + d * y})
+    moved = subs(f, {"x": a * x + b * y, "y": c * x + d * y})
     quot = invariant(moved).exact_div(invariant(f))
     assert quot is not None
     det = a * d - b * c
@@ -285,7 +286,7 @@ def test_hankel_and_apolar_invariance_numeric():
         det = a * d - b * c
         if not det:
             continue
-        moved = f.subs({"x": a * x + b * y, "y": c * x + d * y})
+        moved = subs(f, {"x": a * x + b * y, "y": c * x + d * y})
         assert hankel_quartic(moved) == det ** 6 * hankel_quartic(f)
         assert apolar_quartic(moved) == det ** 4 * apolar_quartic(f)
 

@@ -458,6 +458,7 @@ def test_cold_call_loads_neither_dataclasses_nor_verify():
     assert not modules & {"dataclasses", "inspect", "hyperforms.verify"}
     out, modules = _modules_after("verify", "--suite", "prop21", "--trials", "1")
     assert "[PASS]" in out and "hyperforms.verify" in modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("entry, complaint", [

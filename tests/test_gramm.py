@@ -98,6 +98,13 @@ def test_projection_k0_is_symmetrisation():
             assert p0[a].as_scalar() == avg
 
 
+def test_projection_index_must_be_an_integer():
+    t = rand_tensor(random.Random(3), (2, 2))
+    with pytest.raises(TypeError):
+        project_k(t, 1.0)
+    assert project_k(t, True) == project_k(t, 1)
+
+
 def test_projection_k3_is_antisymmetric_part():
     rng = random.Random(83)
     t = rand_tensor(rng, (3, 3, 3))

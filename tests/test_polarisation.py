@@ -21,6 +21,8 @@ from hyperforms.polarisation import (
     polarize,
 )
 
+from substitute import subs
+
 XY = ("x", "y")
 CUBIC_VARS = ("c30", "c21", "c12", "c03", "x", "y")
 QUARTIC_VARS = ("c40", "c31", "c22", "c13", "c04", "x", "y")
@@ -106,7 +108,7 @@ def test_euler_contraction_of_hessian():
         sub = {"s0": P("x", XY + ("s0", "s1")), "s1": P("y", XY + ("s0", "s1"))}
         grad = polarize(f, (1,), XY)
         for i in range(2):
-            got = contracted[(i,)].subs(sub).drop_vars(("s0", "s1"))
+            got = subs(contracted[(i,)], sub).drop_vars(("s0", "s1"))
             assert got == (k - 1) * grad[(i,)]
 
 
@@ -183,7 +185,7 @@ def test_pair_key_hyperhessian_relative_invariance():
         "c40*x^4 + c31*x^3*y + c22*x^2*y^2 + c13*x*y^3 + c04*y^4", allv)
     x, y = parse_poly("x", allv), parse_poly("y", allv)
     a, b, c, d = (parse_poly(v, allv) for v in gv)
-    moved = f.subs({"x": a * x + b * y, "y": c * x + d * y})
+    moved = subs(f, {"x": a * x + b * y, "y": c * x + d * y})
     det = a * d - b * c
     assert hyperhessian(moved, (2, 2), XY) == det ** 6 * hyperhessian(f, (2, 2), XY)
     rng = random.Random(59)
@@ -194,7 +196,7 @@ def test_pair_key_hyperhessian_relative_invariance():
         if not detg:
             continue
         xn, yn = parse_poly("x", XY), parse_poly("y", XY)
-        movedn = fn.subs({"x": g[0] * xn + g[1] * yn, "y": g[2] * xn + g[3] * yn})
+        movedn = subs(fn, {"x": g[0] * xn + g[1] * yn, "y": g[2] * xn + g[3] * yn})
         assert hyperhessian(movedn, (2, 2), XY) == detg ** 6 * hyperhessian(fn, (2, 2), XY)
 
 
@@ -348,6 +350,16 @@ def test_jacobi_sequence_zero_steps_is_the_form_itself():
     t = jacobi_sequence(f, 0, XY)
     assert t.shape == ()
     assert t[()] == f
+
+
+def test_polarisation_key_and_steps_must_be_integers():
+    f = P("x^3 + y^3")
+    with pytest.raises(TypeError):
+        polarize(f, (1.9, 1), XY)  # int() would answer for the key (1, 1)
+    with pytest.raises(TypeError):
+        jacobi_sequence(f, 2.0, XY)
+    assert polarize(f, (True, 1), XY) == polarize(f, (1, 1), XY)
+    assert jacobi_sequence(f, True, XY) == jacobi_sequence(f, 1, XY)
 
 
 def test_jacobi_sequence_slot_symmetry():

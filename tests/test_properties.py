@@ -18,7 +18,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hyperforms.classical import sylvester_resultant  # noqa: E402
@@ -31,6 +31,7 @@ from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
 
+from substitute import subs  # noqa: E402
 from sylvester import sylvester_rows  # noqa: E402
 
 bounded = settings(max_examples=60, deadline=None, database=None)
@@ -64,6 +65,20 @@ def test_multipoly_ring_axioms(p, q, r):
 @given(polys(), polys())
 def test_sub_is_add_of_negation(p, q):
     assert p - q == p + (-q)
+
+
+_XY_WITH_COEFFS = st.sampled_from([("x", "y"), ("a", "x", "y"), ("y", "b", "x")])
+
+
+@bounded
+@given(_XY_WITH_COEFFS.flatmap(polys))
+@example(MultiPoly.zero(("x", "y")))
+@example(MultiPoly(("x", "y"), {(1, 1): zeta(6), (1, 0): -zeta(6), (2, 3): Fraction(1, 2)}))
+def test_dehomogenize_equals_substituting_one(p):
+    # p need not be homogeneous; keys that coincide without y sum, and may cancel
+    got, want = p.dehomogenize("x", "y"), subs(p, {"y": 1}).drop_vars(["y"])
+    assert (str(got), got.vars) == (str(want), want.vars)
+    assert not [c for c in got.terms.values() if type(c) is Fraction and c.denominator == 1]
 
 
 @st.composite
@@ -195,7 +210,7 @@ _numbers = st.one_of(ints, rationals, st.builds(lambda a, b: a + b * zeta(6), in
 
 def _at_zero(p):
     """The value at t = 0 of a polynomial in t."""
-    return p.subs({"t": 0}).as_scalar()
+    return subs(p, {"t": 0}).as_scalar()
 
 
 @st.composite

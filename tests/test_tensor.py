@@ -44,6 +44,15 @@ def test_multi_indices_counts_match_binomial():
             assert all(sum(e) == degree for e in got)
 
 
+def test_multi_indices_match_brute_force():
+    # oracle: every exponent vector with the right sum, in descending order
+    for nvars in range(1, 7):
+        for degree in range(9):
+            brute = [e for e in itertools.product(range(degree + 1), repeat=nvars)
+                     if sum(e) == degree]
+            assert multi_indices(nvars, degree) == tuple(sorted(brute, reverse=True))
+
+
 # -- indexing -----------------------------------------------------------------------
 
 
@@ -70,6 +79,16 @@ def test_shape_entry_count_is_bounded():
             check_shape(shape)
     with pytest.raises(DomainError, match="4096 entries"):
         Tensor.zeros((2,) * 40)
+
+
+@pytest.mark.parametrize("shape", [(2.7, 2), ("3", 2), (2, Fraction(2))])
+def test_shape_sizes_must_be_integers(shape):
+    with pytest.raises(TypeError):
+        check_shape(shape)
+
+
+def test_shape_size_bool_counts_as_int():
+    assert [type(n) for n in check_shape((True, 2))] == [int, int]
 
 
 # -- contraction ----------------------------------------------------------------------
@@ -201,3 +220,9 @@ def test_json_shape_and_vars_preserved():
     assert d["shape"] == [2, 3]
     assert d["vars"] == ["x", "y"]
     assert len(d["entries"]) == 6
+
+
+def test_tensor_subtraction():
+    a, b = const_tensor((2, 2), [5, 0, -1, 2]), const_tensor((2, 2), [1, 3, -1, 0])
+    assert a - b == const_tensor((2, 2), [4, -3, 0, 2])
+    assert (a - a).entries == Tensor.zeros((2, 2)).entries

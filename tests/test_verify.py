@@ -67,6 +67,23 @@ def test_negative_trials_and_range_refused():
         assert run_suite(name, seed=1, trials=1, coeff_range=0).passed
 
 
+def test_trials_and_range_must_be_integers():
+    # refused before the suite runs, not blamed on it
+    with pytest.raises(TypeError, match="float"):
+        run_suite("prop21", seed=1, trials=2.5)
+    with pytest.raises(TypeError, match="float"):
+        run_suite("prop21", seed=1, coeff_range=9.0)
+    assert run_suite("prop21", seed=1, trials=True, coeff_range=True).coeff_range == 1
+
+
+def test_verify_records_cannot_be_assigned_to():
+    report = run_suite("prop21", seed=1, trials=1)
+    rec = report.identities[0]
+    for obj, name in ((rec, "passed"), (rec, "constant"), (report, "seed")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
 def test_range_too_small_names_the_suite():
     with pytest.raises(ValueError, match="suite prop21: coefficient range too small"):
         run_suite("prop21", seed=4, trials=2, coeff_range=0)
