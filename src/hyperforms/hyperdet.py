@@ -5,10 +5,11 @@ multidimensional formats (2x2x2, 2x2x3 in any axis order, 2x2x2x2) are
 computed by one recursive Schlaefli step: contract the longest axis with
 fresh auxiliary variables (a re-keying of the entries' terms, not a product),
 take the hyperdeterminant of the resulting pencil (a determinant, or again a
-Schlaefli step), then take the discriminant of that form in the auxiliary
-variables.  A hardcoded degree-4 expansion for 2x2x2 cross-checks the recursion.
-A numeric matrix or binary form, every entry a constant, is computed on the
-values (``int``, ``Fraction``, ``Cyclotomic``) and only the result is wrapped.
+Schlaefli step), then the discriminant of that form in the auxiliary variables
+(in three, a Hessian determinant read off the coefficients).  A hardcoded
+degree-4 expansion for 2x2x2 cross-checks the recursion.  A numeric matrix or
+binary form, every entry a constant, is computed on the values (``int``,
+``Fraction``, ``Cyclotomic``) and only the result is wrapped.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
 the coefficients.  Degrees 5 to 32, and resultants of forms of any degrees
@@ -205,14 +206,15 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
 
 
 def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:
-    """Determinant of the matrix of second partials of a ternary quadratic."""
+    """Hessian determinant of a quadratic in ``uvw``: H_ii = 2*c(u_i^2), H_ij = c(u_i*u_j)."""
     q = q.extend_vars(uvw)
     if q.homogeneous_degree_in(uvw) not in (2, -1):
         raise DomainError(
             f"expected a quadratic in {tuple(uvw)}, got degree {q.homogeneous_degree_in(uvw)}")
-    d1 = [q.partial(a) for a in uvw]  # 3 first and, by symmetry, 6 distinct second partials
-    d2 = {(i, j): d1[i].partial(uvw[j]).drop_vars(uvw) for i in range(3) for j in range(i, 3)}
-    return det_rows([[d2[min(i, j), max(i, j)] for j in range(3)] for i in range(3)])
+    c, zero = q.coefficients_in(uvw), MultiPoly.zero(v for v in q.vars if v not in uvw)
+    n = range(len(uvw))
+    h = [[c.get(tuple(map((i, j).count, n)), zero) for j in n] for i in n]
+    return det_rows([[p * 2 if i == j else p for j, p in enumerate(r)] for i, r in enumerate(h)])
 
 
 # -- hyperdeterminants ----------------------------------------------------------

@@ -2,9 +2,10 @@
 
 ``polarize`` maps a degree-k form to the tensor of its raw iterated partial
 derivatives indexed by degree-k_i multi-indices (no factorial normalisation,
-so the classical coefficient tables are reproduced literally).  Hyperhessians,
-Jacobi forms of systems, hyperresultants and the iterated-gradient sequence
-are all thin layers over it.
+so the classical coefficient tables are reproduced literally); each distinct
+total multi-index costs one pass over the form's terms (``MultiPoly.derivative``).
+It is the Jacobi form of a one-form system; hyperhessians, hyperresultants and
+the iterated-gradient sequence are thin layers over the same step.
 """
 
 from __future__ import annotations
@@ -17,68 +18,68 @@ import operator
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
 from .parser import MAX_EXPONENT
-from .poly import MultiPoly, form_vars
+from .poly import MultiPoly, form_vars, merge_vars
 from .tensor import Tensor, check_shape, multi_indices
 
 
-def _form_degree(f: MultiPoly, geo) -> int:
-    d = f.homogeneous_degree_in(geo)
-    if d < 0:
-        raise DomainError("the zero polynomial has no well-defined form degree")
-    return d
+@functools.lru_cache(maxsize=64)
+def _layout(n: int, key: tuple[int, ...]):
+    """Shape and row-major total multi-indices of a polarisation by ``key`` in n variables."""
+    shape = check_shape(math.comb(n + km - 1, km) for km in key)  # multi-indices per slot
+    return shape, tuple(tuple(map(sum, zip(*combo)))
+                        for combo in itertools.product(*(multi_indices(n, km) for km in key)))
 
 
-def _derivatives(f: MultiPoly, geo):
-    """The iterated partial of ``f`` for a multi-index over ``geo``, shared
-    among tensor entries with equal total index."""
-    @functools.lru_cache(maxsize=None)
-    def partial(alpha: tuple[int, ...]) -> MultiPoly:
-        p = f
-        for v, order in zip(geo, alpha):
-            if order:
-                p = p.partial(v, order)
-        return p
-    return partial
+def _derivatives(f: MultiPoly, geo, alphas) -> dict:
+    """The partial of ``f`` for each distinct multi-index over ``geo``, one pass each."""
+    return {alpha: f.derivative(geo, alpha) for alpha in set(alphas)}
+
+
+def _system(forms, geo):
+    # the forms on variables covering geo and their common degree, one scan each
+    forms, degs = [f.extend_vars(geo) for f in forms], set()
+    for f in forms:
+        if (d := f.homogeneous_degree_in(geo)) < 0:
+            raise DomainError("the zero polynomial has no well-defined form degree")
+        degs.add(d)
+    if len(degs) != 1:
+        raise DomainError(f"system mixes degrees {sorted(degs)}")
+    return forms, degs.pop()
+
+
+def _jacobi(forms, key, geo, k: int) -> Tensor:
+    # forms of degree k on variables covering geo
+    if (total := sum(key)) > k:
+        raise DomainError(f"key weight {total} exceeds form degree {k}")
+    shape, alphas = _layout(len(geo), key)
+    shape = check_shape(shape + (len(forms),))
+    vs = merge_vars(f.vars for f in forms)
+    derivs = [_derivatives(f.with_vars(vs), geo, alphas) for f in forms]
+    return Tensor._built(shape, [d[alpha] for alpha in alphas for d in derivs], vs)
+
+
+def _key(key) -> tuple[int, ...]:
+    key = tuple(map(operator.index, key))
+    if not key or any(k < 1 for k in key):
+        raise DomainError(f"polarisation key must be positive integers, got {key}")
+    return key
 
 
 def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
     """Tensor of iterated partials of ``f`` indexed by one degree-k_i
-    multi-index per slot.
+    multi-index per slot: the Jacobi form of the system ``[f]`` without its
+    system axis.
 
     Every entry is homogeneous of degree k - (k_1 + ... + k_d) in the
     geometric variables, and slots with equal k_i may be exchanged freely.
     """
-    key = tuple(map(operator.index, key))
-    if not key or any(k < 1 for k in key):
-        raise DomainError(f"polarisation key must be positive integers, got {key}")
-    geo = form_vars(geo_vars)
-    f = f.extend_vars(geo)
-    k = _form_degree(f, geo)
-    total = sum(key)
-    if total > k:
-        raise DomainError(f"key weight {total} exceeds form degree {k}")
-    # a slot of weight km has C(n + km - 1, km) multi-indices in n variables
-    shape = check_shape(math.comb(len(geo) + km - 1, km) for km in key)
-    derivs = _derivatives(f, geo)
-    entries = []
-    for combo in itertools.product(*(multi_indices(len(geo), km) for km in key)):
-        alpha = tuple(sum(parts) for parts in zip(*combo))
-        entries.append(derivs(alpha))
-    return Tensor(shape, entries, f.vars)
+    t = jacobi_form([f], _key(key), geo_vars)
+    return Tensor._built(t.shape[:-1], t.entries, t.vars)
 
 
 def hyperhessian(f: MultiPoly, key, geo_vars) -> MultiPoly:
     """Hyperdeterminant of the polarisation tensor of ``f``."""
     return hyperdet(polarize(f, key, geo_vars))
-
-
-def _system_degree(forms, geo) -> int:
-    degs = set()
-    for f in forms:
-        degs.add(_form_degree(f.extend_vars(geo), geo))
-    if len(degs) != 1:
-        raise DomainError(f"system mixes degrees {sorted(degs)}")
-    return degs.pop()
 
 
 def jacobi_form(forms, key, geo_vars) -> Tensor:
@@ -91,10 +92,8 @@ def jacobi_form(forms, key, geo_vars) -> Tensor:
     if not forms:
         raise DomainError("empty system of forms")
     geo = form_vars(geo_vars)
-    _system_degree(forms, geo)
-    pols = [polarize(f, key, geo) for f in forms]
-    base = pols[0].shape
-    return Tensor.from_function(base + (len(forms),), lambda idx: pols[idx[-1]][idx[:-1]])
+    forms, k = _system(forms, geo)
+    return _jacobi(forms, _key(key), geo, k)
 
 
 def hyperresultant(forms, geo_vars) -> MultiPoly:
@@ -108,9 +107,9 @@ def hyperresultant(forms, geo_vars) -> MultiPoly:
     geo = form_vars(geo_vars)
     if not forms:
         raise DomainError("empty system of forms")
-    k = _system_degree(forms, geo)
+    forms, k = _system(forms, geo)
     hyperdet_degree((len(geo),) * k + (len(forms),))  # refuse before any derivative
-    return hyperdet(jacobi_form(forms, (1,) * k, geo))
+    return hyperdet(_jacobi(forms, (1,) * k, geo, k))
 
 
 def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
@@ -121,6 +120,7 @@ def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
     geo = form_vars(geo_vars)
     f = f.extend_vars(geo)
     n = len(geo)
-    derivs = _derivatives(f, geo)
-    return Tensor.from_function(
-        (n,) * steps, lambda idx: derivs(tuple(idx.count(i) for i in range(n))), f.vars)
+    shape = check_shape((n,) * steps)
+    alphas = [tuple(map(idx.count, range(n))) for idx in itertools.product(range(n), repeat=steps)]
+    derivs = _derivatives(f, geo, alphas)
+    return Tensor._built(shape, [derivs[alpha] for alpha in alphas], f.vars)

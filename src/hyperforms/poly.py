@@ -11,8 +11,9 @@ variable tuple, which makes equality structural and rendering canonical.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, index as _index, sub as _sub
 
 from .errors import DomainError
 from .scalars import Cyclotomic, canonical, exact_quotient, power
@@ -304,7 +305,7 @@ class MultiPoly:
                                           for e, c in self.terms.items()})
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if (n := _index(n)) < 0:
             raise ValueError("exponent must be a non-negative integer")
         return power(self, n, MultiPoly.constant(1, self.vars))
 
@@ -319,39 +320,39 @@ class MultiPoly:
 
     # -- calculus and re-keying -------------------------------------------------
 
+    def derivative(self, names, orders) -> "MultiPoly":
+        """Mixed partial, orders[j] times by names[j] (no factorial normalisation), in one
+        pass: each exponent drops by its order, each coefficient gains perm(e_i, o_i)."""
+        drop = [0] * len(self.vars)
+        for name, order in zip(names, orders, strict=True):
+            if (order := _index(order)) < 0:
+                raise ValueError("derivative order must be >= 0")
+            if name not in self.vars:
+                raise DomainError(f"unknown variable {name!r}; have {self.vars}")
+            drop[self.vars.index(name)] += order
+        want = [(i, order) for i, order in enumerate(drop) if order]
+        out = {}
+        for e, c in self.terms.items():
+            f = 1
+            for i, order in want:
+                f *= math.perm(e[i], order)  # 0 once the order exceeds the exponent
+            if f:
+                out[tuple(map(_sub, e, drop))] = canonical(c * f)
+        return MultiPoly._raw(self.vars, out)
+
     def partial(self, name: str, order: int = 1) -> "MultiPoly":
         """Iterated formal partial derivative (no factorial normalisation)."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        if name not in self.vars:
-            raise DomainError(f"unknown variable {name!r}; have {self.vars}")
-        i = self.vars.index(name)
-        terms = self.terms
-        for _ in range(order):
-            nxt = {}
-            for e, c in terms.items():
-                k = e[i]
-                if k:
-                    ne = e[:i] + (k - 1,) + e[i + 1:]
-                    nxt[ne] = canonical(c * k)
-            terms = nxt
-            if not terms:
-                break
-        return MultiPoly._raw(self.vars, dict(terms))
+        return self.derivative((name,), (order,))
 
     def dehomogenize(self, keep: str, set_one: str) -> "MultiPoly":
         """Set ``set_one`` to 1, producing a polynomial in ``keep`` (plus any
         coefficient variables): its exponent is dropped, and the coefficients
         of keys that then coincide are summed."""
-        if keep not in self.vars or set_one not in self.vars:
+        if keep == set_one or keep not in self.vars or set_one not in self.vars:
             raise DomainError(
-                f"variables ({keep!r}, {set_one!r}) not both present in {self.vars}")
-        i = self.vars.index(set_one)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[:i] + e[i + 1:]
-            out[k] = out[k] + c if k in out else c
-        return MultiPoly(self.vars[:i] + self.vars[i + 1:], out)
+                f"variables ({keep!r}, {set_one!r}) not two distinct ones of {self.vars}")
+        groups = self.coefficients_in((set_one,)).values()
+        return sum(groups, MultiPoly.zero(v for v in self.vars if v != set_one))
 
     def exact_div(self, divisor: "MultiPoly"):
         """Exact quotient self/divisor, or None when not divisible.
@@ -419,13 +420,20 @@ class MultiPoly:
             degree = d
         elif d not in (degree, -1):
             raise DomainError(f"expected a binary form of degree {degree}, got degree {d}")
-        iy = f.vars.index(xy[1])
-        rest = [i for i, v in enumerate(f.vars) if v not in xy]
-        by_power = [{} for _ in range(degree + 1)]
-        for e, c in f.terms.items():
-            by_power[e[iy]][tuple(e[i] for i in rest)] = c
-        keep = tuple(f.vars[i] for i in rest)
-        return [MultiPoly._raw(keep, t) for t in by_power]
+        groups = f.coefficients_in(xy)
+        zero = MultiPoly.zero(v for v in f.vars if v not in xy)
+        return [groups.get((degree - i, i), zero) for i in range(degree + 1)]
+
+    def coefficients_in(self, names) -> dict:
+        """Each exponent tuple in ``names`` that occurs, mapped to its coefficient: the
+        polynomial in the other variables that multiplies it."""
+        idx = [self.vars.index(v) for v in names]
+        rest = [i for i in range(len(self.vars)) if i not in idx]
+        groups = {}
+        for e, c in self.terms.items():
+            groups.setdefault(tuple(e[i] for i in idx), {})[tuple(e[i] for i in rest)] = c
+        keep = tuple(self.vars[i] for i in rest)
+        return {k: MultiPoly._raw(keep, t) for k, t in groups.items()}
 
     # -- rendering ------------------------------------------------------------------
 

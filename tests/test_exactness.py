@@ -9,6 +9,7 @@ Every integral coefficient of a polynomial is stored as ``int``, including
 the results of sums, products and derivatives.
 """
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from hyperforms.gramm import GrammValue, gramm_form, project_k, skew_gramm
-from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet
+from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet, ternary_quadratic_disc
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta
@@ -155,6 +156,25 @@ def test_hyperdet_and_gramm_forms_stay_exact():
     check_exact([gramm_form(form2, vectors2), gramm_form(form3, vectors3)])
     check_exact([skew_gramm(form2, vectors2, k) for k in range(2)])
     check_exact([skew_gramm(form3, vectors3, k) for k in range(6)])
+
+
+def test_ternary_hessian_doubles_half_integral_squares_to_int(monkeypatch):
+    # H_ii = 2*c(u_i^2): a square coefficient 1/2 gives the entry 1, stored as int
+    seen = []
+    monkeypatch.setattr(importlib.import_module("hyperforms.hyperdet"), "det_rows",
+                        lambda rows: seen.append(rows) or det_rows(rows))
+    uvw = ("u0", "u1", "u2")
+    q = parse_poly("1/2*u0^2 + 3/2*a*u1^2 + 1/2*u1*u2 + 5/2*u2^2", ("a",) + uvw)
+    disc = ternary_quadratic_disc(q, uvw)
+    (rows,) = seen
+    check_exact(rows)
+    assert rows[0][0].terms == {(0,): 1} and type(rows[0][0].terms[(0,)]) is int
+    assert rows[1][1].terms == {(1,): 3} and type(rows[1][1].terms[(1,)]) is int
+    assert rows[2][2].terms == {(0,): 5} and rows[1][2].terms == {(0,): Fraction(1, 2)}
+    assert disc == parse_poly("15*a - 1/4", ("a",))
+    halves = ternary_quadratic_disc(parse_poly("1/2*u0^2 + 1/2*u1^2 + 1/2*u2^2", uvw), uvw)
+    check_exact([disc, halves])
+    assert halves.terms == {(): 1}
 
 
 def test_cyclotomic_inverse_and_division_stay_exact():

@@ -23,6 +23,7 @@ from hyperforms.poly import MultiPoly
 from hyperforms.scalars import Cyclotomic, zeta
 from hyperforms.tensor import Tensor
 
+from partials import derivative as iterated_derivative
 from sylvester import sylvester_rows
 
 XY = ("x", "y")
@@ -377,6 +378,28 @@ def test_ternary_degenerate_conic():
 
 def test_ternary_mixed():
     assert ternary_quadratic_disc(parse_poly("u0^2 + u1*u2", U3), U3) == -2
+
+
+def test_ternary_disc_matches_hessian_of_partials():
+    # oracle: the 3x3 matrix of second partials, one variable at a time
+    rng = random.Random(21)
+    vs = ("a",) + U3 + ("b",)
+    monomials = list(itertools.combinations_with_replacement(U3, 2))
+    for _ in range(30):
+        terms = []
+        for u, w in monomials:
+            c = rng.choice(["0", str(rng.randint(-9, 9)), f"{rng.randint(1, 5)}/2",
+                            "a", f"({rng.randint(-3, 3)}*a - b)"])
+            terms.append(f"({c})*{u}*{w}")
+        q = parse_poly(" + ".join(terms), vs)
+        hessian = [[iterated_derivative(q, (u, w), (1, 1)).drop_vars(U3) for w in U3] for u in U3]
+        assert ternary_quadratic_disc(q, U3) == det_rows(hessian), q
+
+
+def test_quadratic_disc_takes_the_hessian_in_the_variables_given():
+    # two variables give the 2x2 Hessian determinant 4ac - b^2, not a silent zero
+    uv = U3[:2]
+    assert ternary_quadratic_disc(parse_poly("u0^2 + 3*u0*u1 + u1^2", uv), uv) == 4 - 9
 
 
 def test_ternary_wrong_degree():

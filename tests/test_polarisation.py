@@ -234,6 +234,34 @@ def test_jacobi_three_quadratics_is_223():
 def test_jacobi_mixed_degrees_rejected():
     with pytest.raises(DomainError):
         jacobi_form([P("x^2"), P("x^3")], (1,), XY)
+    # the system's degrees are checked before the key's weight
+    with pytest.raises(DomainError, match="system mixes degrees"):
+        jacobi_form([P("x^2"), P("x^3")], (4,), XY)
+    with pytest.raises(DomainError, match="key weight 4 exceeds form degree 3"):
+        jacobi_form([P("x^3"), P("y^3")], (4,), XY)
+
+
+def test_jacobi_keeps_variables_and_entry_order_of_stacked_polarisations():
+    # the forms' variables merge in order of first appearance; entries interleave
+    f1, f2 = parse_poly("a*x^2*y + y^3", ("a", "x", "y")), parse_poly("b*x^3", ("x", "b"))
+    t = jacobi_form([f1, f2], (1, 1), XY)
+    p1, p2 = polarize(f1, (1, 1), XY), polarize(f2, (1, 1), XY)
+    assert t.vars == ("a", "x", "y", "b") and t.shape == (2, 2, 2)
+    assert all(e.vars == t.vars for e in t.entries)
+    assert t.entries == [p for pair in zip(p1.entries, p2.entries) for p in pair]
+
+
+def test_each_form_degree_is_scanned_once(monkeypatch):
+    # scans in the form variables; the Schlaefli chain scans its own forms in u
+    calls = []
+    scan = MultiPoly.homogeneous_degree_in
+    monkeypatch.setattr(MultiPoly, "homogeneous_degree_in",
+                        lambda self, names: calls.append(tuple(names)) or scan(self, names))
+    hyperresultant([P("x^3 + 2*x*y^2"), P("y^3 - x^2*y")], XY)
+    assert calls.count(XY) == 2
+    calls.clear()
+    polarize(P("x^3 + y^3"), (1, 1), XY)
+    assert calls == [XY]
 
 
 # -- hyperresultant ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly, constant_values
 from hyperforms.scalars import zeta
 
+from partials import derivative as iterated_derivative
 from substitute import subs
 
 XY = ("x", "y")
@@ -48,6 +49,17 @@ def test_mul_square_matches_bruteforce_expansion():
         for e2, c2 in p.terms.items():
             expected = expected + MultiPoly(XY, {tuple(a + b for a, b in zip(e1, e2)): c1 * c2})
     assert p * p == expected == P("x^2 + 2*x*y + y^2")
+
+
+def test_power_refuses_exponents_that_are_not_integers():
+    x = P("x")
+    assert x ** True == x and x ** 0 == 1
+    with pytest.raises(TypeError):
+        x ** 2.0
+    with pytest.raises(TypeError):
+        x ** Fraction(2)
+    with pytest.raises(ValueError, match="non-negative"):
+        x ** -1
 
 
 def test_ring_axioms_on_random_triples():
@@ -88,6 +100,39 @@ def test_mixed_fourth_partial_matches_repeated_single_steps():
     for v in ("x", "x", "y", "y"):
         step = step.partial(v)
     assert step == f.partial("x", 2).partial("y", 2) == MultiPoly.constant(4, XY)
+
+
+def test_derivative_takes_all_orders_at_once():
+    f = P("x^3*y^2 + 1/2*x*y + 5")
+    assert f.derivative(XY, (2, 1)) == P("12*x*y") == iterated_derivative(f, XY, (2, 1))
+    assert f.derivative(("x", "x"), (1, 1)) == f.partial("x", 2)  # a repeated name adds up
+    assert f.derivative(XY, (0, 0)) == f and f.derivative((), ()) == f
+    assert f.derivative(XY, (4, 0)).is_zero() and f.derivative(XY, (4, 0)).vars == XY
+    assert f.derivative(XY, (1, 1)).terms[(0, 0)] == Fraction(1, 2)
+
+
+def test_derivative_refuses_bad_orders_and_names():
+    f = P("x^2*y")
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        f.derivative(XY, (1, -1))
+    with pytest.raises(DomainError, match="unknown variable 'z'"):
+        f.derivative(("z",), (1,))
+    with pytest.raises(TypeError):
+        f.derivative(XY, (1, 1.0))
+    with pytest.raises(ValueError):  # one order per name
+        f.derivative(XY, (1,))
+    with pytest.raises(TypeError):
+        f.partial("x", 2.0)
+
+
+def test_coefficients_in_groups_terms_by_exponents():
+    f = parse_poly("a*x^2 + 3*x^2 - b*x*y + 7", ("a", "x", "b", "y"))
+    groups = f.coefficients_in(XY)
+    assert set(groups) == {(2, 0), (1, 1), (0, 0)}
+    assert all(g.vars == ("a", "b") for g in groups.values())
+    assert groups[2, 0] == parse_poly("a + 3", ("a", "b"))
+    assert groups[1, 1] == parse_poly("-b", ("a", "b")) and groups[0, 0] == 7
+    assert MultiPoly.zero(XY).coefficients_in(("x",)) == {}
 
 
 def test_homogeneous_derivative_degree_drop():
@@ -197,6 +242,8 @@ def test_dehomogenize_with_coefficient_variables():
 def test_dehomogenize_wrong_names():
     with pytest.raises(DomainError):
         P("x^2").dehomogenize("x", "t")
+    with pytest.raises(DomainError, match="not two distinct ones"):
+        P("x^2 + x*y").dehomogenize("x", "x")
 
 
 def test_dehomogenize_sums_coinciding_keys():

@@ -1,9 +1,10 @@
-"""Property tests: ring axioms, the multiply-accumulate kernel, exact division
-and exact quotients over mixed ``int``, ``Fraction`` and ``zeta6``
-coefficients, the field axioms of ``Cyclotomic`` and the print/parse round
-trip of ``zeta<m>`` coefficients, contraction against the multiply route,
-resultants of any two degrees, hyperresultants of random systems against the
-format rule, and CLI argvs that may only end in documented exit codes."""
+"""Property tests: ring axioms, the multiply-accumulate kernel, one-pass
+derivatives against iterated partials, exact division and exact quotients
+over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
+axioms of ``Cyclotomic`` and the print/parse round trip of ``zeta<m>``
+coefficients, contraction against the multiply route, resultants of any two
+degrees, hyperresultants of random systems against the format rule, and CLI
+argvs that may only end in documented exit codes."""
 
 import contextlib
 import io
@@ -31,6 +32,7 @@ from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
 
+from partials import derivative as iterated_derivative  # noqa: E402
 from substitute import subs  # noqa: E402
 from sylvester import sylvester_rows  # noqa: E402
 
@@ -154,6 +156,25 @@ orders = st.sampled_from([3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24, 30])
 def cyclotomics(m, max_size=8):
     return st.lists(rationals, min_size=1, max_size=max_size).map(
         lambda cs: sum((c * zeta(m) ** e for e, c in enumerate(cs)), Fraction(0)))
+
+
+@st.composite
+def derivative_cases(draw):
+    # int, Fraction and Cyclotomic coefficients; orders run past each exponent
+    # (up to 5 against at most 3) and include zeros; names in any order
+    m = draw(st.sampled_from([3, 5, 8]))
+    p = draw(polys(coeffs=st.one_of(scalars, cyclotomics(m, 4))))
+    names = draw(st.permutations(p.vars))
+    return p, names, draw(st.tuples(*[st.integers(0, 5)] * len(names)))
+
+
+@bounded
+@given(derivative_cases())
+@example((MultiPoly(("x", "y"), {(3, 1): Fraction(1, 6), (1, 0): zeta(5)}), ("y", "x"), (1, 3)))
+def test_derivative_matches_iterated_partials(case):
+    p, names, orders = case
+    got, want = p.derivative(names, orders), iterated_derivative(p, names, orders)
+    assert (got.vars, got.terms) == (p.vars, want.terms)
 
 
 @bounded
