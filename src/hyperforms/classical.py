@@ -4,8 +4,8 @@ invariants, and the three-form Wronskian."""
 from __future__ import annotations
 
 from .errors import DomainError
-from .hyperdet import _bounded_degree, _resultant_rows, det_rows, det_square
-from .poly import MultiPoly, binary_vars, merge_vars
+from .hyperdet import _bounded_degree, _resultant, det_rows, det_square
+from .poly import MultiPoly, binary_vars, constant_values, merge_vars
 from .tensor import Tensor
 
 
@@ -24,8 +24,11 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
     avec, bvec = (h.with_vars(merged).binary_coefficients(xy) for h in (f, g))
     m = _bounded_degree("resultant", len(avec) - 1, 1)
     n = _bounded_degree("resultant", len(bvec) - 1, 1)
-    res = det_rows(_resultant_rows(avec, bvec) if m >= n else _resultant_rows(bvec, avec))
-    return -res if m < n and m * n % 2 else res  # Res(f, g) = (-1)^(mn) Res(g, f)
+    values = constant_values(avec + bvec)  # a numeric pair is eliminated on its values
+    ring = (avec, bvec) if values is None else (values[:m + 1], values[m + 1:])
+    res = _resultant(*ring) if m >= n else _resultant(*ring[::-1])
+    res = -res if m < n and m * n % 2 else res  # Res(f, g) = (-1)^(mn) Res(g, f)
+    return res if values is None else MultiPoly.constant(res, avec[0].vars)
 
 
 def hankel_matrix(f: MultiPoly, xy=("x", "y")) -> Tensor:

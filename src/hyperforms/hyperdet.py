@@ -2,13 +2,14 @@
 
 Square matrices go through exact fraction-free elimination.  The genuinely
 multidimensional formats (2x2x2, 2x2x3 in any axis order, 2x2x2x2) are
-computed by one recursive Schlaefli step: contract the longest axis with
-fresh auxiliary variables (a re-keying of the entries' terms, not a product),
-take the hyperdeterminant of the resulting pencil (a determinant, or again a
-Schlaefli step), then the discriminant of that form in the auxiliary variables
-(in three, a Hessian determinant read off the coefficients).  A hardcoded
-degree-4 expansion for 2x2x2 cross-checks the recursion.  A numeric matrix or
-binary form, every entry a constant, is computed on the values (``int``,
+computed by one recursive Schlaefli step: the hyperdeterminant F(u) of the
+pencil sum_j u_j * A_j of the slices along the longest axis (a determinant,
+or again a Schlaefli step) is a form in u, and its discriminant is the result.
+F is read off a few evaluations, not built in fresh variables: a binary form
+from F(1, t) at t = 0..D by Newton divided differences, a ternary quadratic
+as its Hessian from F at e_i and e_i + e_j.  A hardcoded degree-4 expansion
+for 2x2x2 cross-checks the recursion.  A numeric matrix, tensor, binary form
+or resultant, every entry a constant, is computed on the values (``int``,
 ``Fraction``, ``Cyclotomic``) and only the result is wrapped.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
@@ -20,11 +21,12 @@ Cayley's Bezout matrix.  In tests the Sylvester matrix is its oracle.
 from __future__ import annotations
 
 import functools
+import math
 
 from .errors import DomainError, UnsupportedFormatError
 from .poly import MultiPoly, constant_values, merge_vars
 from .scalars import exact_quotient
-from .tensor import Tensor, check_shape, fresh_names
+from .tensor import Tensor, check_shape
 
 
 # hyperdeterminant degree by sorted shape; a k x k matrix (k <= 6) has degree k
@@ -90,6 +92,13 @@ def _eliminate(m, cross, divide):
     return m[-1][-1] if sign == 1 else -m[-1][-1]
 
 
+def _det(rows):
+    """Determinant of a nonempty square list-of-lists of polynomials or of values."""
+    if type(rows[0][0]) is MultiPoly:
+        return det_rows(rows)
+    return _eliminate(rows, lambda a, b, c, d: a * b - c * d, exact_quotient)
+
+
 def _poly_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     quot = a.exact_div(b)
     if quot is None:  # cannot happen for true minors
@@ -110,9 +119,7 @@ def det_rows(rows) -> MultiPoly:
     if n == 0:
         return MultiPoly.constant(1)
     if (values := constant_values(p for row in rows for p in row)) is not None:
-        det = _eliminate([values[i * n:(i + 1) * n] for i in range(n)],
-                         lambda a, b, c, d: a * b - c * d, exact_quotient)
-        return MultiPoly.constant(det, merged)
+        return MultiPoly.constant(_det([values[i * n:(i + 1) * n] for i in range(n)]), merged)
     return _eliminate([[p.with_vars(merged) for p in row] for row in rows],
                       lambda a, b, c, d: MultiPoly.dot(merged, (a, c), (b, -d)), _poly_quotient)
 
@@ -133,8 +140,9 @@ def det_square(t: Tensor) -> MultiPoly:
 _MAX_DEGREE = 32
 
 
-def _resultant_rows(avec, bvec):
-    """Hybrid Bezout-Sylvester matrix of coefficient vectors of degrees m >= n.
+def _resultant_rows(avec, bvec, zero):
+    """Hybrid Bezout-Sylvester matrix of coefficient vectors of degrees m >= n, over
+    a ring (polynomials or values) whose zero is ``zero``.
 
     Cayley's symmetric recurrence B[i][j] = B[i-1][j+1] + p[j+1]*q[i] - p[i]*q[j+1]
     runs on f and x^(m-n) g, with p[k], q[k] the coefficients of x^k.  The rows
@@ -143,7 +151,6 @@ def _resultant_rows(avec, bvec):
     ch. 12).  Column j holds the coefficient of x^j; for m = n this is B reversed.
     """
     m, n = len(avec) - 1, len(bvec) - 1
-    zero = MultiPoly.zero()
     p, q = avec[::-1], [zero] * (m - n) + bvec[::-1]
     b = [[None] * m for _ in range(m)]
     for i in range(m):
@@ -152,6 +159,11 @@ def _resultant_rows(avec, bvec):
             b[i][j] = b[j][i] = entry + b[i - 1][j + 1] if i and j + 1 < m else entry
     shifted = [[zero] * j + bvec[::-1] + [zero] * (m - n - 1 - j) for j in range(m - n)]
     return shifted + b[::-1][:n]
+
+
+def _resultant(avec, bvec):
+    """Res of coefficient vectors of degrees m >= n, polynomials or values alike."""
+    return _det(_resultant_rows(avec, bvec, MultiPoly.zero() if type(avec[0]) is MultiPoly else 0))
 
 
 def _closed_form_disc(cs):
@@ -195,14 +207,14 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
         _bounded_degree("discriminant", degree, 2)
     cs = f.binary_coefficients(xy, degree)
     d = _bounded_degree("discriminant", len(cs) - 1, 2)
+    ring = cs if (values := constant_values(cs)) is None else values
     if d > 4:  # the coefficients of df/dx and df/dy, read off those of f
-        res = det_rows(_resultant_rows([(d - i) * c for i, c in enumerate(cs[:-1])],
-                                       [i * c for i, c in enumerate(cs) if i]))
-        return res * (-1) ** (d * (d - 1) // 2) / d ** (d - 2)
-    values = constant_values(cs)
-    if values is None:
-        return _closed_form_disc(cs)
-    return MultiPoly.constant(_closed_form_disc(values), cs[0].vars)
+        res = _resultant([(d - i) * c for i, c in enumerate(ring[:-1])],
+                         [i * c for i, c in enumerate(ring) if i])
+        disc = exact_quotient(res * (-1) ** (d * (d - 1) // 2), d ** (d - 2))
+    else:
+        disc = _closed_form_disc(ring)
+    return disc if values is None else MultiPoly.constant(disc, cs[0].vars)
 
 
 def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:
@@ -243,17 +255,32 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
     return sq - 2 * pairs + 4 * diag
 
 
-def _schlaefli(t: Tensor) -> MultiPoly:
-    # Contract the longest axis, ties to the highest index, so 2x2x3 in any
-    # axis order contracts its 3-axis.
-    longest = max(range(t.ndim), key=lambda i: (t.shape[i], i))
-    u = fresh_names(t.vars, t.shape[longest])
-    pencil = t.contract_axis(longest, u)
-    form = det_square(pencil) if pencil.ndim == 2 else _schlaefli(pencil)
-    if len(u) == 3:
-        return ternary_quadratic_disc(form, u)
-    # the pencil is linear in u, so its hyperdeterminant has that degree in u
-    return binary_form_disc(form, u, degree=hyperdet_degree(pencil.shape))
+def _schlaefli(shape, xs):
+    """Hyperdeterminant of the row-major entries ``xs``, all polynomials or all values,
+    on a supported ``shape``.  The longest axis is split, ties to the highest index,
+    so 2x2x3 in any axis order splits its 3-axis."""
+    if len(shape) == 2:
+        return _det([xs[i:i + shape[0]] for i in range(0, len(xs), shape[0])])
+    axis = len(shape) - 1 - shape[::-1].index(max(shape))
+    sub, n, inner = shape[:axis] + shape[axis + 1:], shape[axis], math.prod(shape[axis + 1:])
+    parts = [[x for i, x in enumerate(xs) if i // inner % n == j] for j in range(n)]
+    if n == 3:  # a ternary quadratic: H_ii = 2 F(e_i), H_ij = F(e_i + e_j) - F(e_i) - F(e_j)
+        f = [_schlaefli(sub, a) for a in parts]
+        # g[k] = F(e_i + e_j) for the pair {i, j} that leaves out k, that is k = 3 - i - j
+        g = [_schlaefli(sub, [x + y for x, y in zip(parts[k - 1], parts[k - 2])]) for k in range(3)]
+        return _det([[2 * f[i] if i == j else g[3 - i - j] - f[i] - f[j] for j in range(3)]
+                     for i in range(3)])
+    # F(1, t) = sum_i c_i t^i at t = 0..D; Newton divided differences, then monomials
+    a, b = parts
+    degree = hyperdet_degree(sub)
+    c = [_schlaefli(sub, [x + t * y for x, y in zip(a, b)] if t else a) for t in range(degree + 1)]
+    for k in range(1, degree + 1):
+        for i in range(degree, k - 1, -1):
+            c[i] = exact_quotient(c[i] - c[i - 1], k)
+    cs = [c[degree]]
+    for k in range(degree - 1, -1, -1):  # cs(t) * (t - k) + c_k
+        cs = [c[k] - k * cs[0]] + [cs[j - 1] - k * cs[j] for j in range(1, len(cs))] + [cs[-1]]
+    return _closed_form_disc(cs)
 
 
 def hyperdet(t: Tensor) -> MultiPoly:
@@ -264,4 +291,6 @@ def hyperdet(t: Tensor) -> MultiPoly:
     ``hyperdet_degree`` does on formats outside that set.
     """
     hyperdet_degree(t.shape)
-    return det_square(t) if t.ndim == 2 else _schlaefli(t)
+    if (values := constant_values(t.entries)) is not None:
+        return MultiPoly.constant(_schlaefli(t.shape, values), t.vars)
+    return _schlaefli(t.shape, t.entries)

@@ -142,13 +142,18 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def _position(self, name: str) -> int:
+        if name not in self.vars:
+            raise DomainError(f"unknown variable {name!r}; have {self.vars}")
+        return self.vars.index(name)
+
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
     def homogeneous_degree_in(self, names) -> int:
         """Common degree of all terms in the given variables; error if mixed."""
-        idx = [self.vars.index(v) for v in names]
+        idx = [self._position(v) for v in names]
         degs = {sum(e[i] for i in idx) for e in self.terms}
         if len(degs) > 1:
             raise DomainError(
@@ -156,7 +161,7 @@ class MultiPoly:
         return degs.pop() if degs else -1
 
     def uses(self, name: str) -> bool:
-        i = self.vars.index(name)
+        i = self._position(name)
         return any(e[i] for e in self.terms)
 
     def as_scalar(self):
@@ -327,9 +332,7 @@ class MultiPoly:
         for name, order in zip(names, orders, strict=True):
             if (order := _index(order)) < 0:
                 raise ValueError("derivative order must be >= 0")
-            if name not in self.vars:
-                raise DomainError(f"unknown variable {name!r}; have {self.vars}")
-            drop[self.vars.index(name)] += order
+            drop[self._position(name)] += order
         want = [(i, order) for i, order in enumerate(drop) if order]
         out = {}
         for e, c in self.terms.items():
@@ -427,7 +430,7 @@ class MultiPoly:
     def coefficients_in(self, names) -> dict:
         """Each exponent tuple in ``names`` that occurs, mapped to its coefficient: the
         polynomial in the other variables that multiplies it."""
-        idx = [self.vars.index(v) for v in names]
+        idx = [self._position(v) for v in names]
         rest = [i for i in range(len(self.vars)) if i not in idx]
         groups = {}
         for e, c in self.terms.items():

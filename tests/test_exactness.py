@@ -177,6 +177,29 @@ def test_ternary_hessian_doubles_half_integral_squares_to_int(monkeypatch):
     assert halves.terms == {(): 1}
 
 
+def test_schlaefli_interpolates_int_coefficients_for_int_tensors(monkeypatch):
+    # the pencil's form is read off F(1, t) at t = 0..D by divided differences,
+    # each an exact quotient: on an int tensor every coefficient is an int
+    module = importlib.import_module("hyperforms.hyperdet")
+    seen, closed_form = [], module._closed_form_disc
+    monkeypatch.setattr(module, "_closed_form_disc", lambda cs: seen.append(cs) or closed_form(cs))
+    rng = random.Random(23)
+    z = zeta(6)
+    draws = {int: lambda: rng.randint(-9, 9),
+             Fraction: lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+             Cyclotomic: lambda: rng.randint(-3, 3) + rng.randint(-3, 3) * z}
+    for kind, draw in draws.items():
+        for shape, lengths in (((2, 2, 2), [3]), ((2, 2, 2, 2), [3] * 5 + [5])):
+            for _ in range(5):
+                seen.clear()
+                value = hyperdet(Tensor(shape, [draw() for _ in range(math.prod(shape))]))
+                assert [len(cs) for cs in seen] == lengths
+                check_exact([value] + [c for cs in seen for c in cs])
+                if kind is int:
+                    assert all(type(c) is int for cs in seen for c in cs), seen
+                    assert all(type(c) is int for c in value.terms.values())
+
+
 def test_cyclotomic_inverse_and_division_stay_exact():
     rng = random.Random(9)
     # rational draws take the inverse through its lcm of denominators

@@ -183,17 +183,32 @@ def test_det_bareiss_matches_cofactor_for_4x4():
 
 
 def test_numeric_matrices_and_forms_never_reach_polynomial_arithmetic(monkeypatch):
+    # nor a pencil in fresh variables: the Schlaefli step runs on the values
     rng = random.Random(19)
-    t = rand_tensor(rng, (6, 6))
-    quartic = MultiPoly(XY, {(4 - i, i): rng.randint(-9, 9) for i in range(5)})
-    expected = det_square(t), binary_form_disc(quartic)
+
+    def form(degree):
+        return MultiPoly(XY, {(degree - i, i): rng.randint(-9, 9) for i in range(degree + 1)})
+
+    quartic, cubic = form(4), form(3)
+    calls = [(det_square, rand_tensor(rng, (6, 6))), (binary_form_disc, quartic)]
+    calls += [(hyperdet, rand_tensor(rng, shape)) for shape in
+              ((2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2))]
+    calls += [(lambda f: hyperhessian(f, (1, 1, 1), XY), cubic),
+              (lambda f: hyperhessian(f, (1, 1, 1, 1), XY), quartic),
+              (lambda fs: hyperresultant(fs, XY), [form(2), form(2)]),
+              (lambda fs: hyperresultant(fs, XY), [form(2), form(2), form(2)]),
+              (lambda fs: hyperresultant(fs, XY), [form(3), form(3)]),
+              (lambda fs: hyperforms.sylvester_resultant(*fs), [quartic, form(4)])]
+    expected = [fn(arg) for fn, arg in calls]
+    assert not any(value.is_zero() for value in expected)
 
     def refuse(*args):
         raise AssertionError("polynomial arithmetic on a numeric input")
 
-    for name in ("dot", "exact_div", "__mul__", "__rmul__", "__truediv__"):
+    for name in ("dot", "exact_div", "__mul__", "__rmul__", "__truediv__", "pencil"):
         monkeypatch.setattr(MultiPoly, name, refuse)
-    assert (det_square(t), binary_form_disc(quartic)) == expected
+    monkeypatch.setattr(Tensor, "contract_axis", refuse)
+    assert [fn(arg) for fn, arg in calls] == expected
 
 
 def test_numeric_results_keep_the_variables_of_the_polynomial_route():

@@ -125,6 +125,15 @@ def test_derivative_refuses_bad_orders_and_names():
         f.partial("x", 2.0)
 
 
+@pytest.mark.parametrize("query", [lambda f: f.homogeneous_degree_in(("x", "z")),
+                                   lambda f: f.uses("z"),
+                                   lambda f: f.coefficients_in(("z",))],
+                         ids=["homogeneous_degree_in", "uses", "coefficients_in"])
+def test_queries_refuse_an_unknown_name_as_derivative_does(query):
+    with pytest.raises(DomainError, match=r"^unknown variable 'z'; have \('x', 'y'\)$"):
+        query(P("x^2"))
+
+
 def test_coefficients_in_groups_terms_by_exponents():
     f = parse_poly("a*x^2 + 3*x^2 - b*x*y + 7", ("a", "x", "b", "y"))
     groups = f.coefficients_in(XY)

@@ -3,8 +3,9 @@ derivatives against iterated partials, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
 axioms of ``Cyclotomic`` and the print/parse round trip of ``zeta<m>``
 coefficients, contraction against the multiply route, resultants of any two
-degrees, hyperresultants of random systems against the format rule, and CLI
-argvs that may only end in documented exit codes."""
+degrees, hyperdeterminants against the contraction route, hyperresultants of
+random systems against the format rule, and CLI argvs that may only end in
+documented exit codes."""
 
 import contextlib
 import io
@@ -25,7 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hyperforms.classical import sylvester_resultant  # noqa: E402
 from hyperforms.cli import run_command  # noqa: E402
 from hyperforms.errors import DomainError, UnsupportedFormatError  # noqa: E402
-from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet_degree  # noqa: E402
+from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet, hyperdet_degree  # noqa: E402
 from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.polarisation import hyperresultant  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
@@ -33,6 +34,7 @@ from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
 
 from partials import derivative as iterated_derivative  # noqa: E402
+from schlaefli import contraction_hyperdet  # noqa: E402
 from substitute import subs  # noqa: E402
 from sylvester import sylvester_rows  # noqa: E402
 
@@ -130,6 +132,41 @@ def test_contract_axis_matches_multiply_route(t):
         got, oracle = t.contract_axis(axis, u), _contract_by_products(t, axis, u)
         assert (got.shape, got.vars) == (oracle.shape, oracle.vars)
         assert [p.terms for p in got.entries] == [p.terms for p in oracle.entries]
+
+
+_FORMATS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]
+_ST = ("s", "t")
+
+
+@st.composite
+def format_tensors(draw):
+    # one kind of entry per tensor, drawn from a seeded Random so that few results
+    # are zero by chance; one time in three a slice along some axis is zero, which
+    # drops the degree of the pencil's form when that axis is split
+    shape = draw(st.sampled_from(_FORMATS))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from([
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        lambda: rng.randint(-3, 3) + rng.randint(-3, 3) * zeta(6),
+        lambda: MultiPoly(_ST, {(1, 0): rng.randint(-3, 3), (0, 1): rng.randint(-3, 3),
+                                (0, 0): rng.randint(-3, 3)})]))
+    entries = [kind() for _ in range(math.prod(shape))]
+    if draw(st.integers(0, 2)) == 0:
+        axis = draw(st.integers(0, len(shape) - 1))
+        j = draw(st.integers(0, shape[axis] - 1))
+        inner = math.prod(shape[axis + 1:])
+        entries = [0 if i // inner % shape[axis] == j else e for i, e in enumerate(entries)]
+    return Tensor(shape, entries, draw(st.sampled_from([None, _ST])))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(format_tensors())
+@example(Tensor((2, 2, 2, 2), [0] * 16, _ST))
+@example(Tensor((2, 3, 2), [0] * 12))
+def test_hyperdet_matches_contraction_route(t):
+    got, oracle = hyperdet(t), contraction_hyperdet(t)
+    assert got.vars == oracle.vars == t.vars and got == oracle
 
 
 @bounded
