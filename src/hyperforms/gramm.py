@@ -20,8 +20,8 @@ from math import factorial
 
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
-from .poly import MultiPoly
-from .scalars import as_fraction, scalar_pow, zeta
+from .poly import MultiPoly, constant_values
+from .scalars import Cyclotomic, as_fraction, exact_quotient, root_sum, scalar_pow, zeta
 from .tensor import Tensor, check_shape
 
 
@@ -47,9 +47,11 @@ class OrbitTable:
         self.dim = dim
         self.orbits: list[Orbit] = []
         self.ordinal: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.flat: list[tuple[int, ...]] = []  # each orbit's arrangements as row-major offsets
         for ms in itertools.combinations_with_replacement(range(dim), d):
             arrs = tuple(sorted(set(itertools.permutations(ms))))
             self.orbits.append(Orbit(ms, arrs))
+            self.flat.append(tuple(sum(i * dim ** p for p, i in enumerate(a[::-1])) for a in arrs))
             oi = len(self.orbits) - 1
             for j, arr in enumerate(arrs):
                 self.ordinal[arr] = (oi, j)
@@ -89,7 +91,10 @@ def project_k(t: Tensor, k: int) -> Tensor:
     arrangement with ordinal j is eps^(k*j) times the averaged
     eps^(-k*j')-weighted input; inadmissible orbits are annihilated.  The
     powers of eps are read from one table per order, and the orbits from one
-    table per shape, both cached across calls.
+    table per shape, both cached across calls.  A tensor of constants whose
+    cyclotomic entries all have order d! runs on its values: as eps^d! = 1, an
+    orbit's weighted sum is one vector over eps^0 .. eps^(d!-1), and each output
+    is that vector rotated by k*j and reduced once.
     """
     d, dim = _hypercubic_dims(t)
     fact = factorial(d)
@@ -98,18 +103,32 @@ def project_k(t: Tensor, k: int) -> Tensor:
         raise DomainError(f"component index must satisfy 0 <= k < {fact}, got {k}")
     table = orbit_ord(d, dim)
     powers = _unity_powers(fact)
+    values = constant_values(t.entries)
+    if values and any(type(v) is Cyclotomic and v.order != fact for v in values):
+        values = None  # another order meets eps in polynomial arithmetic, which mixes or refuses it
     entries = [MultiPoly.zero(t.vars)] * len(t.entries)
-    for orbit in table.orbits:
+    for orbit, flat in zip(table.orbits, table.flat):
         if not table.admissible(k, orbit):
             continue
         s = orbit.size
+        if values is not None:
+            acc = [0] * fact
+            for j, f in enumerate(flat):
+                v = values[f]
+                for e, c in enumerate(v.coeffs) if type(v) is Cyclotomic else ((0, v),):
+                    acc[(e - k * j) % fact] += c
+            for j, f in enumerate(flat):
+                r = k * j % fact
+                value = exact_quotient(root_sum(fact, acc[-r:] + acc[:-r]), s)
+                entries[f] = MultiPoly.constant(value, t.vars)
+            continue
         base = MultiPoly.zero(t.vars)
-        for j, arr in enumerate(orbit.arrangements):
-            base = base + t[arr] * powers[(-k * j) % fact]
+        for j, f in enumerate(flat):
+            base = base + t.entries[f] * powers[(-k * j) % fact]
         base = base / s
-        for j, arr in enumerate(orbit.arrangements):
-            entries[t.flat_index(arr)] = base * powers[(k * j) % fact]
-    return Tensor(t.shape, entries, t.vars)
+        for j, f in enumerate(flat):
+            entries[f] = base * powers[(k * j) % fact]
+    return Tensor._built(t.shape, entries, t.vars)
 
 
 def projector_trace(d: int, dim: int, k: int) -> Fraction:

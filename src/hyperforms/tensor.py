@@ -15,7 +15,7 @@ import math
 import operator
 
 from .errors import DomainError
-from .poly import COEFF_TYPES, MultiPoly, merge_vars
+from .poly import COEFF_TYPES, MultiPoly, _coerce_coeff, constant_values, merge_vars
 
 
 _MAX_ENTRIES = 8 ** 4  # every entry is stored, so bound the count before building any
@@ -165,9 +165,20 @@ class Tensor:
 
     def _act(self, axis: int, rows) -> "Tensor":
         """Map one slot through an r x n list of scalars or polynomials:
-        new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...]."""
+        new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...].  Scalar rows
+        act on a tensor of constants through its values."""
         inner = math.prod(self.shape[axis + 1:])
         step = self.shape[axis] * inner
+        shape = check_shape(self.shape[:axis] + (len(rows),) + self.shape[axis + 1:])
+        if all(type(c) is not MultiPoly for row in rows for c in row) and (
+                values := constant_values(self.entries)) is not None:
+            rows = [[_coerce_coeff(c) for c in row] for row in rows]  # True acts as 1, 2/1 as 2
+            entries = []
+            for start in range(0, len(values), step):
+                cols = [values[start + k:start + step:inner] for k in range(inner)]
+                entries.extend(MultiPoly.constant(sum(map(operator.mul, row, col)), self.vars)
+                               for row in rows for col in cols)
+            return Tensor._built(shape, entries, self.vars)
         vs = merge_vars([self.vars] + [c.vars for row in rows for c in row
                                        if type(c) is MultiPoly])
         old = [p.with_vars(vs) for p in self.entries]
@@ -177,8 +188,7 @@ class Tensor:
         for start in range(0, len(old), step):
             cols = [old[start + k:start + step:inner] for k in range(inner)]
             entries.extend(MultiPoly.dot(vs, row, col) for row in rows for col in cols)
-        return Tensor._built(check_shape(self.shape[:axis] + (len(rows),) + self.shape[axis + 1:]),
-                             entries, vs)
+        return Tensor._built(shape, entries, vs)
 
     def contract_axis(self, axis: int, var_names) -> "Tensor":
         """Replace one axis by a linear form in fresh variables.

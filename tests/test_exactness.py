@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperforms.gramm import GrammValue, gramm_form, project_k, skew_gramm
+from hyperforms.gramm import GrammValue, gramm_form, gramm_tensor, project_k, skew_gramm
 from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet, ternary_quadratic_disc
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
@@ -156,6 +156,18 @@ def test_hyperdet_and_gramm_forms_stay_exact():
     check_exact([gramm_form(form2, vectors2), gramm_form(form3, vectors3)])
     check_exact([skew_gramm(form2, vectors2, k) for k in range(2)])
     check_exact([skew_gramm(form3, vectors3, k) for k in range(6)])
+
+
+def test_slot_action_stores_integral_values_as_int():
+    # gramm_tensor reads its vectors as Fractions; on a tensor of constants the
+    # integral sums of their products are stored as int, as are those of apply_gl
+    form = Tensor((2, 2, 2), [1, -2, 3, 0, 5, 2, -1, 4])
+    vectors = [[Fraction(2), Fraction(-4)], [Fraction(6, 3), 1], [True, Fraction(1, 2)]]
+    g = gramm_tensor(form, vectors[:2])
+    halves = Tensor((2, 2), [2, 4, 6, 8]).apply_gl(0, [[Fraction(1, 2), 0], [Fraction(3, 2), 1]])
+    check_exact([g, halves, gramm_tensor(form, vectors)])
+    assert all(type(c) is int for t in (g, halves) for p in t.entries for c in p.terms.values())
+    assert halves == Tensor((2, 2), [1, 2, 9, 14])
 
 
 def test_ternary_hessian_doubles_half_integral_squares_to_int(monkeypatch):

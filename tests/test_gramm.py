@@ -176,6 +176,21 @@ def test_projection_d4_completeness_over_zeta24():
     assert sum(projector_trace(4, 2, k) for k in range(24)) == 2 ** 4
 
 
+def test_projection_of_other_cyclotomic_orders():
+    # eps = zeta(d!); an entry of another order meets eps in polynomial arithmetic,
+    # which adds it to rational powers of eps and refuses the irrational ones
+    t = Tensor((2, 2), [zeta(6), 1, zeta(4), 2])
+    assert str(project_k(t, 1)[0, 1]) == "(1/2 - 1/2*zeta4)"
+    assert [str(p) for p in project_k(t, 0).entries] == [
+        "(zeta6)", "(1/2 + 1/2*zeta4)", "(1/2 + 1/2*zeta4)", "2"]
+    t = Tensor((2, 2, 2), [zeta(4), zeta(4), 1, 3, 2, 0, 0, 1])
+    assert [str(p) for p in project_k(t, 0).entries] == [
+        "(zeta4)", "(1 + 1/3*zeta4)", "(1 + 1/3*zeta4)", "1", "(1 + 1/3*zeta4)", "1", "1", "1"]
+    assert all(p.is_zero() for p in project_k(t, 3).entries)
+    with pytest.raises(ValueError, match="mixed cyclotomic orders 4 and 6"):
+        project_k(t, 2)
+
+
 def test_projection_requires_hypercubic():
     with pytest.raises(DomainError):
         project_k(Tensor.zeros((2, 3)), 0)
@@ -253,15 +268,17 @@ def reference_gramm_tensor(form, vectors):
 @pytest.mark.parametrize("d, dim", [(2, 2), (2, 3), (3, 2)])
 def test_gramm_tensor_matches_per_entry_contraction(d, dim):
     rng = random.Random(100 * d + dim)
-    texts = ["3", "-1/2", "0", "a", "b^2", "a - 2*b^2", "zeta6", "2*zeta6*a - 1"]
-    for m in range(1, dim + 2):
-        for _ in range(3):
-            form = Tensor((dim,) * d, [parse_poly(rng.choice(texts), ("a", "b"))
-                                       for _ in range(dim ** d)], ("a", "b"))
-            vecs = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(dim)]
-                    for _ in range(m)]
-            got, want = gramm_tensor(form, vecs), reference_gramm_tensor(form, vecs)
-            assert got.to_json() == want.to_json()
+    symbolic = ["3", "-1/2", "0", "a", "b^2", "a - 2*b^2", "zeta6", "2*zeta6*a - 1"]
+    constant = ["3", "-1/2", "0", "zeta6", "2/3 - zeta6"]  # the slot action runs on values
+    for texts in (symbolic, constant):
+        for m in range(1, dim + 2):
+            for _ in range(3):
+                form = Tensor((dim,) * d, [parse_poly(rng.choice(texts), ("a", "b"))
+                                           for _ in range(dim ** d)], ("a", "b"))
+                vecs = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(dim)]
+                        for _ in range(m)]
+                got, want = gramm_tensor(form, vecs), reference_gramm_tensor(form, vecs)
+                assert got.to_json() == want.to_json()
 
 
 # -- gramm forms ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ derivatives against iterated partials, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
 axioms of ``Cyclotomic`` and the print/parse round trip of ``zeta<m>``
 coefficients, contraction against the multiply route, resultants of any two
-degrees, hyperdeterminants against the contraction route, hyperresultants of
+degrees, hyperdeterminants against the contraction route, skew projections
+of numeric tensors against the polynomial route, hyperresultants of
 random systems against the format rule, and CLI argvs that may only end in
 documented exit codes."""
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hyperforms.classical import sylvester_resultant  # noqa: E402
 from hyperforms.cli import run_command  # noqa: E402
 from hyperforms.errors import DomainError, UnsupportedFormatError  # noqa: E402
+from hyperforms.gramm import project_k  # noqa: E402
 from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet, hyperdet_degree  # noqa: E402
 from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.polarisation import hyperresultant  # noqa: E402
@@ -314,6 +316,27 @@ def test_numeric_binary_disc_matches_polynomial_route(case):
     g = MultiPoly(("x", "y", "t"), {(d - i, i, 0): v for i, v in enumerate(nudge)})
     disc = binary_form_disc(f, ("x", "y"), degree=d)
     assert disc.vars == _T and disc == _at_zero(binary_form_disc(f + t * g, ("x", "y"), degree=d))
+
+
+@st.composite
+def skew_tensors(draw):
+    # zero, int, Fraction and order-d! cyclotomic entries: project_k runs on the values
+    d = draw(st.sampled_from((2, 3, 4)))
+    dim, m = 2 if d == 4 else draw(st.integers(2, 3)), math.factorial(d)
+    root_power = st.builds(lambda c, e: c * zeta(m) ** e, rationals, st.integers(1, m - 1))
+    entry = st.one_of(st.just(0), rationals, st.builds(lambda a, b: a + b, rationals, root_power))
+    return Tensor((dim,) * d, draw(st.lists(entry, min_size=dim ** d, max_size=dim ** d)))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(skew_tensors())
+def test_numeric_projections_match_polynomial_route(t):
+    # t*s has a variable, so its projections run the polynomial route; both are linear in s
+    s = MultiPoly.variable("s")
+    parts = [project_k(t, k) for k in range(math.factorial(t.ndim))]
+    for k, part in enumerate(parts):
+        assert project_k(t.map_entries(lambda p: p * s), k) == part.map_entries(lambda p: p * s)
+    assert sum(parts[1:], parts[0]) == t
 
 
 @st.composite

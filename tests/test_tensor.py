@@ -191,6 +191,22 @@ def test_apply_gl_refuses_non_square_matrices(shape, axis, g):
         t.apply_gl(axis, g)
 
 
+@pytest.mark.parametrize("entries", [[1, 2, 3, 4], [MultiPoly.variable("a"), 2, 3, 4]])
+def test_apply_gl_refuses_a_non_scalar_row_entry(entries):
+    # numeric and symbolic tensors alike: a row entry must be a number or a polynomial
+    t = Tensor((2, 2), entries)
+    with pytest.raises(TypeError, match="unsupported coefficient type: str"):
+        t.apply_gl(0, [[1, "x"], [0, 1]])
+
+
+@pytest.mark.parametrize("entries", [[1, 2, 3, 4], [MultiPoly.variable("a"), 2, 3, 4]])
+def test_apply_gl_bool_entries_act_as_integers(entries):
+    t = Tensor((2, 2), entries)
+    got = t.apply_gl(1, [[True, False], [True, True]])
+    assert got == t.apply_gl(1, [[1, 0], [1, 1]])
+    assert all(type(c) is int for p in got.entries for c in p.terms.values())
+
+
 def test_contract_middle_axis_equals_transpose_then_contract_last():
     rng = random.Random(11)
     texts = ["2", "-1/3", "0", "x", "y^2", "x - y", "zeta6*x"]
