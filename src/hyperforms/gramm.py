@@ -22,7 +22,7 @@ from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
 from .poly import MultiPoly, constant_values
 from .scalars import Cyclotomic, as_fraction, exact_quotient, root_sum, scalar_pow, zeta
-from .tensor import Tensor, check_shape
+from .tensor import Tensor
 
 
 class Orbit(namedtuple("Orbit", ("multiset", "arrangements"))):
@@ -163,10 +163,7 @@ def gramm_tensor(form: Tensor, vectors) -> Tensor:
         raise DomainError(f"vectors must have dimension {dim}")
     if not vecs:
         raise DomainError("need at least one vector")
-    check_shape((len(vecs),) * d)  # refuse the result's shape before any slot is mapped
-    for axis in range(d):
-        form = form._act(axis, vecs)
-    return form
+    return form._act(range(d), vecs)
 
 
 class GrammValue(namedtuple("GrammValue", ("base", "exponent"))):

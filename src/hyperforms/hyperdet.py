@@ -5,12 +5,15 @@ multidimensional formats (2x2x2, 2x2x3 in any axis order, 2x2x2x2) are
 computed by one recursive Schlaefli step: the hyperdeterminant F(u) of the
 pencil sum_j u_j * A_j of the slices along the longest axis (a determinant,
 or again a Schlaefli step) is a form in u, and its discriminant is the result.
+The split (slice shape, slice offsets, degree of F) is planned once per format.
 F is read off a few evaluations, not built in fresh variables: a binary form
 from F(1, t) at t = 0..D by Newton divided differences, a ternary quadratic
-as its Hessian from F at e_i and e_i + e_j.  A hardcoded degree-4 expansion
-for 2x2x2 cross-checks the recursion.  A numeric matrix, tensor, binary form
-or resultant, every entry a constant, is computed on the values (``int``,
-``Fraction``, ``Cyclotomic``) and only the result is wrapped.
+as its Hessian from F at e_i and e_i + e_j.  The pencil of two 2x2 slices is
+read in closed form: det(A + tB) = det A + (a0 b3 + b0 a3 - a1 b2 - b1 a2) t
++ det B t^2.  A hardcoded degree-4 expansion for 2x2x2 cross-checks the
+recursion.  A numeric matrix, tensor, binary form or resultant, every entry a
+constant, is computed on the values (``int``, ``Fraction``, ``Cyclotomic``)
+and only the result is wrapped.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
 the coefficients.  Degrees 5 to 32, and resultants of forms of any degrees
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from .errors import DomainError, UnsupportedFormatError
 from .poly import MultiPoly, constant_values, merge_vars
@@ -92,11 +96,15 @@ def _eliminate(m, cross, divide):
     return m[-1][-1] if sign == 1 else -m[-1][-1]
 
 
+def _cross(a, b, c, d):
+    return a * b - c * d
+
+
 def _det(rows):
     """Determinant of a nonempty square list-of-lists of polynomials or of values."""
     if type(rows[0][0]) is MultiPoly:
         return det_rows(rows)
-    return _eliminate(rows, lambda a, b, c, d: a * b - c * d, exact_quotient)
+    return _eliminate(rows, _cross, exact_quotient)
 
 
 def _poly_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -255,24 +263,39 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
     return sq - 2 * pairs + 4 * diag
 
 
-def _schlaefli(shape, xs):
-    """Hyperdeterminant of the row-major entries ``xs``, all polynomials or all values,
-    on a supported ``shape``.  The longest axis is split, ties to the highest index,
-    so 2x2x3 in any axis order splits its 3-axis."""
-    if len(shape) == 2:
-        return _det([xs[i:i + shape[0]] for i in range(0, len(xs), shape[0])])
+@functools.lru_cache(maxsize=None)
+def _split(shape):
+    """The shape of the slices along the longest axis of ``shape`` (ties to the highest
+    index, so 2x2x3 in any axis order splits its 3-axis), a getter of each slice's
+    row-major offsets, and the degree of the pencil's form; cached per format."""
     axis = len(shape) - 1 - shape[::-1].index(max(shape))
     sub, n, inner = shape[:axis] + shape[axis + 1:], shape[axis], math.prod(shape[axis + 1:])
-    parts = [[x for i, x in enumerate(xs) if i // inner % n == j] for j in range(n)]
-    if n == 3:  # a ternary quadratic: H_ii = 2 F(e_i), H_ij = F(e_i + e_j) - F(e_i) - F(e_j)
+    return sub, [operator.itemgetter(*(i for i in range(math.prod(shape)) if i // inner % n == j))
+                 for j in range(n)], hyperdet_degree(sub)
+
+
+def _schlaefli(shape, xs):
+    """Hyperdeterminant of the row-major entries ``xs``, all polynomials or all values,
+    on a supported ``shape``."""
+    if shape == (2, 2):
+        a, b, c, d = xs
+        return a * d - b * c
+    if len(shape) == 2:
+        return _det([xs[i:i + shape[0]] for i in range(0, len(xs), shape[0])])
+    sub, getters, degree = _split(shape)
+    parts = [get(xs) for get in getters]
+    if len(parts) == 3:  # a ternary quadratic: H_ii = 2F(e_i), H_ij = F(e_i+e_j) - F(e_i) - F(e_j)
         f = [_schlaefli(sub, a) for a in parts]
         # g[k] = F(e_i + e_j) for the pair {i, j} that leaves out k, that is k = 3 - i - j
         g = [_schlaefli(sub, [x + y for x, y in zip(parts[k - 1], parts[k - 2])]) for k in range(3)]
         return _det([[2 * f[i] if i == j else g[3 - i - j] - f[i] - f[j] for j in range(3)]
                      for i in range(3)])
-    # F(1, t) = sum_i c_i t^i at t = 0..D; Newton divided differences, then monomials
     a, b = parts
-    degree = hyperdet_degree(sub)
+    if sub == (2, 2):  # det(A + tB) = det A + (a0 b3 + b0 a3 - a1 b2 - b1 a2) t + det B t^2
+        return _closed_form_disc([a[0] * a[3] - a[1] * a[2],
+                                  a[0] * b[3] + b[0] * a[3] - a[1] * b[2] - b[1] * a[2],
+                                  b[0] * b[3] - b[1] * b[2]])
+    # F(1, t) = sum_i c_i t^i at t = 0..D; Newton divided differences, then monomials
     c = [_schlaefli(sub, [x + t * y for x, y in zip(a, b)] if t else a) for t in range(degree + 1)]
     for k in range(1, degree + 1):
         for i in range(degree, k - 1, -1):

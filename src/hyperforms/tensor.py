@@ -163,31 +163,31 @@ class Tensor:
                    for nidx in itertools.product(*map(range, new_shape))]
         return Tensor(new_shape, entries, self.vars)
 
-    def _act(self, axis: int, rows) -> "Tensor":
-        """Map one slot through an r x n list of scalars or polynomials:
-        new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...].  Scalar rows
-        act on a tensor of constants through its values."""
-        inner = math.prod(self.shape[axis + 1:])
-        step = self.shape[axis] * inner
-        shape = check_shape(self.shape[:axis] + (len(rows),) + self.shape[axis + 1:])
-        if all(type(c) is not MultiPoly for row in rows for c in row) and (
-                values := constant_values(self.entries)) is not None:
+    def _act(self, axes, rows) -> "Tensor":
+        """Map each slot in ``axes`` (ascending) through one r x n list of scalars or
+        polynomials: new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...].  Scalar
+        rows act on a tensor of constants through its values, wrapped once at the end."""
+        shape = check_shape(len(rows) if i in axes else n for i, n in enumerate(self.shape))
+        values = None if any(type(c) is MultiPoly for row in rows for c in row) else (
+            constant_values(self.entries))
+        if values is not None:
             rows = [[_coerce_coeff(c) for c in row] for row in rows]  # True acts as 1, 2/1 as 2
-            entries = []
-            for start in range(0, len(values), step):
-                cols = [values[start + k:start + step:inner] for k in range(inner)]
-                entries.extend(MultiPoly.constant(sum(map(operator.mul, row, col)), self.vars)
-                               for row in rows for col in cols)
-            return Tensor._built(shape, entries, self.vars)
-        vs = merge_vars([self.vars] + [c.vars for row in rows for c in row
-                                       if type(c) is MultiPoly])
-        old = [p.with_vars(vs) for p in self.entries]
-        rows = [[c.with_vars(vs) if type(c) is MultiPoly else MultiPoly.constant(c, vs)
-                 for c in row] for row in rows]
-        entries = []
-        for start in range(0, len(old), step):
-            cols = [old[start + k:start + step:inner] for k in range(inner)]
-            entries.extend(MultiPoly.dot(vs, row, col) for row in rows for col in cols)
+            vs, entries, dot = self.vars, values, lambda row, col: sum(map(operator.mul, row, col))
+        else:
+            vs = merge_vars([self.vars] + [c.vars for row in rows for c in row
+                                           if type(c) is MultiPoly])
+            entries = [p.with_vars(vs) for p in self.entries]
+            rows = [[c.with_vars(vs) if type(c) is MultiPoly else MultiPoly.constant(c, vs)
+                     for c in row] for row in rows]
+            dot = lambda row, col: MultiPoly.dot(vs, row, col)
+        for axis in axes:  # the axes after ``axis`` are not mapped yet
+            inner = math.prod(self.shape[axis + 1:])
+            step = self.shape[axis] * inner
+            entries = [dot(row, entries[start + k:start + step:inner])
+                       for start in range(0, len(entries), step)
+                       for row in rows for k in range(inner)]
+        if values is not None:
+            entries = [MultiPoly.constant(v, vs) for v in entries]
         return Tensor._built(shape, entries, vs)
 
     def contract_axis(self, axis: int, var_names) -> "Tensor":
@@ -220,7 +220,7 @@ class Tensor:
         rows = [list(r) for r in g]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"matrix must be {n}x{n} for axis {axis}")
-        return self._act(axis, rows)
+        return self._act((axis,), rows)
 
     # -- serialisation -----------------------------------------------------------
 

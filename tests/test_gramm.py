@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -279,6 +280,18 @@ def test_gramm_tensor_matches_per_entry_contraction(d, dim):
                         for _ in range(m)]
                 got, want = gramm_tensor(form, vecs), reference_gramm_tensor(form, vecs)
                 assert got.to_json() == want.to_json()
+
+
+def test_gramm_tensor_of_constants_maps_every_slot_on_values(monkeypatch):
+    # the values are read once and wrapped once, not once per slot
+    module = importlib.import_module("hyperforms.tensor")
+    read, scans = module.constant_values, []
+    monkeypatch.setattr(module, "constant_values", lambda polys: scans.append(1) or read(polys))
+    form = rand_tensor(random.Random(43), (3, 3, 3))
+    vecs = [[1, Fraction(1, 2), -2], [0, 3, 1]]
+    got = gramm_tensor(form, vecs)
+    assert len(scans) == 1
+    assert got.to_json() == reference_gramm_tensor(form, vecs).to_json()
 
 
 # -- gramm forms ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import math
 import random
@@ -440,6 +441,40 @@ def test_schlaefli_matches_closed_form_on_100_random():
     for _ in range(100):
         t = rand_tensor(rng, (2, 2, 2))
         assert hyperdet(t) == cayley_hyperdet_222(t)
+
+
+_SCHLAEFLI_FORMATS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]
+
+
+def test_split_is_planned_only_for_supported_formats(monkeypatch):
+    module = importlib.import_module("hyperforms.hyperdet")
+    split, reached = module._split, []
+    monkeypatch.setattr(module, "_split", lambda shape: reached.append(shape) or split(shape))
+    rng = random.Random(37)
+    for shape in [(k, k) for k in range(1, 7)] + _SCHLAEFLI_FORMATS:
+        hyperdet(rand_tensor(rng, shape))
+    assert set(reached) == set(_SCHLAEFLI_FORMATS)
+    for shape in [(3, 3, 3), (2, 3, 4), (2, 2, 2, 2, 2), (7, 7), ()]:
+        reached.clear()
+        with pytest.raises((DomainError, UnsupportedFormatError)):
+            hyperdet(Tensor.zeros(shape))
+        assert reached == []
+    assert split.cache_info().currsize <= 5
+
+
+def test_integer_2222_reads_its_2x2_pencils_in_closed_form(monkeypatch):
+    # the top step evaluates the 2x2x2 pencil at t = 0..4; each evaluation reads
+    # its pencil of 2x2 slices in closed form, with no determinant of its own
+    module = importlib.import_module("hyperforms.hyperdet")
+    t = rand_tensor(random.Random(41), (2, 2, 2, 2))
+    want = hyperdet(t)
+    schlaefli, calls, dets = module._schlaefli, [], []
+    monkeypatch.setattr(module, "_schlaefli",
+                        lambda shape, xs: calls.append(shape) or schlaefli(shape, xs))
+    monkeypatch.setattr(module, "det_rows", lambda rows: dets.append(rows))
+    assert hyperdet(t) == want
+    assert calls == [(2, 2, 2, 2)] + [(2, 2, 2)] * 5
+    assert dets == []
 
 
 def test_hyperdet_degrees_with_symbolic_entries():

@@ -3,12 +3,14 @@ derivatives against iterated partials, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
 axioms of ``Cyclotomic`` and the print/parse round trip of ``zeta<m>``
 coefficients, contraction against the multiply route, resultants of any two
-degrees, hyperdeterminants against the contraction route, skew projections
+degrees, hyperdeterminants against the contraction route, the closed-form
+pencil of two 2x2 slices against interpolation, skew projections
 of numeric tensors against the polynomial route, hyperresultants of
 random systems against the format rule, and CLI argvs that may only end in
 documented exit codes."""
 
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -16,6 +18,7 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -36,7 +39,7 @@ from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
 
 from partials import derivative as iterated_derivative  # noqa: E402
-from schlaefli import contraction_hyperdet  # noqa: E402
+from schlaefli import contraction_hyperdet, pencil_by_interpolation  # noqa: E402
 from substitute import subs  # noqa: E402
 from sylvester import sylvester_rows  # noqa: E402
 
@@ -169,6 +172,34 @@ def format_tensors(draw):
 def test_hyperdet_matches_contraction_route(t):
     got, oracle = hyperdet(t), contraction_hyperdet(t)
     assert got.vars == oracle.vars == t.vars and got == oracle
+
+
+@st.composite
+def pencil_slices(draw):
+    # the entries of a 2x2x2 tensor, whose slices along the last axis are the pair:
+    # one kind of entry per tensor, or each entry of its own kind
+    linear = st.builds(lambda c, s, t: MultiPoly(_ST, {(0, 0): c, (1, 0): s, (0, 1): t}),
+                       ints, ints, ints)
+    kinds = [ints, st.fractions(-9, 9, max_denominator=9),
+             st.builds(lambda a, b: a + b * zeta(6), ints, ints), linear]
+    entry = draw(st.sampled_from(kinds + [st.one_of(kinds)]))
+    return draw(st.lists(entry, min_size=8, max_size=8))
+
+
+@bounded
+@given(pencil_slices())
+@example([0] * 8)
+def test_closed_form_pencil_matches_interpolation(entries):
+    module = importlib.import_module("hyperforms.hyperdet")
+    seen, closed_form = [], module._closed_form_disc
+    t = Tensor((2, 2, 2), entries, _ST)
+    with mock.patch.object(module, "_closed_form_disc",
+                           lambda cs: seen.append(cs) or closed_form(cs)):
+        hyperdet(t)
+    (cs,) = seen
+    oracle = pencil_by_interpolation(lambda m: det_rows([m[:2], m[2:]]),
+                                     t.entries[0::2], t.entries[1::2], 2)
+    assert [c if type(c) is MultiPoly else MultiPoly.constant(c, _ST) for c in cs] == oracle
 
 
 @bounded

@@ -174,6 +174,14 @@ def test_contraction_commutes_with_gl_on_other_axis():
         assert left == right
 
 
+def test_apply_gl_with_polynomial_rows_on_constants():
+    # a polynomial row entry takes the polynomial route, also on a tensor of constants
+    a = MultiPoly.variable("a")
+    got = Tensor((2, 2), [1, 2, 3, 4]).apply_gl(0, [[a, 1], [0, a]])
+    assert got == Tensor((2, 2), [a + 3, a * 2 + 4, a * 3, a * 4])
+    assert got.vars == ("a",)
+
+
 def test_apply_gl_dimension_mismatch():
     t = Tensor.zeros((2, 3))
     with pytest.raises(DomainError):
