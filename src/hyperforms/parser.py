@@ -2,16 +2,25 @@
 
 Grammar: integers and rationals (``3``, ``-1/2``), declared variable names,
 ``+ - * ^ ( )`` with explicit ``*`` and non-negative integer exponents; a
-power may have exponent and degree at most 64, and a number at most 4300 digits.
-``zeta<m>`` is a reserved identifier denoting a primitive m-th root of
-unity, m at most 64, so cyclotomic renderings round-trip.  Printing a
-polynomial within these limits and parsing it back is the identity.
+power (and its exponent) or a product may have degree at most 64, and a number
+at most 4300 digits.  ``zeta<m>`` is a reserved identifier denoting a primitive
+m-th root of unity, m at most 64, so cyclotomic renderings round-trip.
+Printing a polynomial within these limits and parsing it back is the identity.
+
+A chain of factors folds into one monomial (exponent tuple, scalar), a sum into
+one dict keyed by exponent tuple; a group of one monomial stays one.  Only a
+product or power of a sum of several terms is expanded, by ``MultiPoly``
+arithmetic, and refused first when C(D + v, v), a bound on the terms of a result
+of degree D in the v variables its operands use, exceeds ``MAX_TERMS``.  The
+result is built once, by the ``MultiPoly`` constructor.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import add as _add
 
 from .errors import ParseError
 from .poly import MultiPoly
@@ -22,6 +31,7 @@ _TOKEN = re.compile(
     r"|(?P<number>\d+(?:\s*/\s*\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^()])"
+    r"|(?P<bad>.)", re.S
 )
 
 _ZETA = re.compile(r"zeta([1-9][0-9]*)$")
@@ -29,28 +39,47 @@ _ZETA = re.compile(r"zeta([1-9][0-9]*)$")
 # Parentheses and unary minus recurse; refuse deep nesting before Python's
 # own recursion limit turns it into a crash.
 _MAX_DEPTH = 100
-# Powers are expanded eagerly; refuse large exponents and high-degree powers
-# before the expansion can run for minutes.
+# Powers and products are expanded eagerly; refuse large exponents and high
+# degrees before the expansion can run for minutes.
 MAX_EXPONENT = 64
+# The largest expansion of the tests and README, (x+y)^64, has at most C(66, 2) = 2145
+# terms; (a+b+c+d)^64 has at most C(68, 4) = 814,385 and took 20 s to expand.
+MAX_TERMS = 2500
 # Python's own limit for int() of a decimal string, refused here with a position.
 MAX_DIGITS = 4300
 
 
 def _tokenize(text: str):
+    """(kind, text, position) of each token, an operator being its own kind, then an end."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if (kind := m.lastgroup) == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws":
+            tokens.append((m.group() if kind == "op" else kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
+def _check_expansion(what: str, degree: int, sums, pos: int) -> None:
+    """Refuse to expand ``sums`` (term dicts) to ``degree`` when C(degree + v, v) > MAX_TERMS."""
+    v = sum(map(any, zip(*(e for terms in sums for e in terms))))  # the variables they use
+    if math.comb(degree + v, v) > MAX_TERMS:
+        raise ParseError(f"{what} exceeds the term limit {MAX_TERMS}", pos)
+
+
+def _neg(p):
+    return (p[0], -p[1]) if type(p) is tuple else {e: -c for e, c in p.items()}
+
+
+def _degree(p) -> int:
+    """Total degree of a monomial or a sum; -1 for the zero monomial."""
+    return (sum(p[0]) if p[1] else -1) if type(p) is tuple else max(map(sum, p))
+
+
 class _Parser:
+    """Factors and terms are monomials ``(exponents, coefficient)`` or dicts of several."""
+
     def __init__(self, text: str, variables):
         self.tokens = _tokenize(text)
         self.i = 0
@@ -61,6 +90,8 @@ class _Parser:
         for v in self.vars:
             if _ZETA.match(v):
                 raise ValueError(f"variable name {v!r} is reserved for roots of unity")
+        self.one = (0,) * len(self.vars)
+        self.units = {v: self.one[:i] + (1,) + self.one[i + 1:] for i, v in enumerate(self.vars)}
 
     def peek(self):
         return self.tokens[self.i]
@@ -71,47 +102,67 @@ class _Parser:
         return tok
 
     def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
+        kind, _, pos = self.peek()
+        if kind != op:
             raise ParseError(f"expected {op!r}", pos)
         return self.take()
 
     def at_op(self, *ops) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "op" and text in ops
+        return self.tokens[self.i][0] in ops
 
-    # expr := term (('+'|'-') term)*
-    def expr(self) -> MultiPoly:
-        p = self.term()
-        while self.at_op("+", "-"):
-            _, op, _ = self.take()
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+    def value(self, terms: dict):
+        """A dict of several terms as it is, fewer as a monomial."""
+        return terms if len(terms) > 1 else next(iter(terms.items()), (self.one, 0))
+
+    def poly(self, p) -> MultiPoly:
+        return MultiPoly(self.vars, dict([p]) if type(p) is tuple else p)
+
+    # expr := term (('+'|'-') term)*, added into one dict of terms
+    def expr(self) -> dict:
+        terms, p = {}, self.term()
+        while True:
+            for e, c in (p,) if type(p) is tuple else p.items():
+                s = terms.get(e)
+                terms[e] = c = c if s is None else s + c
+                if not c:
+                    del terms[e]
+            if not self.at_op("+", "-"):
+                return terms
+            p = self.term() if self.take()[1] == "+" else _neg(self.term())
 
     # term := factor ('*' factor)*
-    def term(self) -> MultiPoly:
+    def term(self):
         p = self.factor()
         while self.at_op("*"):
-            self.take()
-            p = p * self.factor()
+            pos = self.take()[2]
+            q = self.factor()
+            degree = _degree(p) + _degree(q)  # at most 63 when one factor is zero
+            if degree > MAX_EXPONENT:
+                raise ParseError(f"product exceeds the degree limit {MAX_EXPONENT}", pos)
+            if type(p) is tuple and type(q) is tuple:
+                c = q[1]  # a variable's 1 multiplies nothing
+                p = tuple(map(_add, p[0], q[0])), p[1] if type(c) is int and c == 1 else p[1] * c
+                continue
+            if type(p) is dict and type(q) is dict:
+                _check_expansion("product", degree, (p, q), pos)
+            p = self.value(dict((self.poly(p) * self.poly(q)).sorted_terms()))
         return p
 
     # factor := '-' factor | power
-    def factor(self) -> MultiPoly:
+    def factor(self):
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", self.peek()[2])
         if self.at_op("-"):
             self.take()
-            p = -self.factor()
+            p = _neg(self.factor())
         else:
             p = self.power()
         self.depth -= 1
         return p
 
     # power := atom ('^' non-negative-integer)?
-    def power(self) -> MultiPoly:
+    def power(self):
         p = self.atom()
         if self.at_op("^"):
             self.take()
@@ -120,46 +171,49 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.take()
             n = int(text) if len(text.lstrip("0")) <= 2 else None  # no int() of a huge string
-            if n is None or n > MAX_EXPONENT or n * p.total_degree() > MAX_EXPONENT:
+            if n is None or n > MAX_EXPONENT or n * _degree(p) > MAX_EXPONENT:
                 raise ParseError(f"power exceeds the exponent and degree limit {MAX_EXPONENT}",
                                  pos)
-            return p ** n
+            if type(p) is tuple:
+                return tuple(x * n for x in p[0]), p[1] ** n
+            if n > 1:
+                _check_expansion("power", n * _degree(p), (p,), pos)
+            return self.value(dict((self.poly(p) ** n).sorted_terms()))
         return p
 
-    def atom(self) -> MultiPoly:
+    def atom(self):
         kind, text, pos = self.take()
         if kind == "number":
             parts = text.split("/")
             if any(len(part.strip()) > MAX_DIGITS for part in parts):
                 raise ParseError(f"number has more than {MAX_DIGITS} digits", pos)
             if len(parts) == 1:
-                return MultiPoly.constant(int(text), self.vars)
+                return self.one, int(text)
             num, den = map(int, parts)
             if den == 0:
                 raise ParseError("zero denominator", pos)
-            return MultiPoly.constant(Fraction(num, den), self.vars)
+            return self.one, Fraction(num, den)
         if kind == "name":
-            if text in self.vars:
-                return MultiPoly.variable(text, self.vars)
-            zm = _ZETA.match(text)
-            if zm:
+            if (unit := self.units.get(text)) is not None:
+                return unit, 1
+            if zm := _ZETA.match(text):
                 digits = zm.group(1)
                 if len(digits) > 2 or int(digits) > MAX_ORDER:
                     raise ParseError(f"root of unity order exceeds the limit {MAX_ORDER}", pos)
-                return MultiPoly.constant(zeta(int(digits)), self.vars)
+                return self.one, zeta(int(digits))
             raise ParseError(f"unknown identifier {text!r}", pos)
-        if kind == "op" and text == "(":
-            p = self.expr()
+        if kind == "(":
+            terms = self.expr()
             self.expect_op(")")
-            return p
+            return self.value(terms)
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
 
     def parse(self) -> MultiPoly:
-        p = self.expr()
+        terms = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing token {text!r}", pos)
-        return p
+        return MultiPoly(self.vars, terms)
 
 
 def parse_poly(text: str, variables) -> MultiPoly:

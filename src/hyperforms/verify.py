@@ -368,6 +368,8 @@ _PARSER_VAR_POOL = ("x", "y", "z", "a", "b", "c")
 
 
 def suite_parser(rng, trials, bound):
+    zeta6_powers = [zeta(6) ** k for k in range(6)]
+
     def roundtrip():
         nvars = rng.randint(1, 3)
         variables = tuple(rng.sample(_PARSER_VAR_POOL, nvars))
@@ -376,7 +378,7 @@ def suite_parser(rng, trials, bound):
             exps = tuple(rng.randint(0, 5) for _ in range(nvars))
             coeff = Fraction(rng.randint(-bound * 11, bound * 11), rng.randint(1, 9))
             if rng.random() < 0.2:
-                coeff = coeff * zeta(6) ** rng.randint(1, 5)
+                coeff = coeff * zeta6_powers[rng.randint(1, 5)]
             if coeff:
                 terms[exps] = terms.get(exps, Fraction(0)) + coeff
         p = MultiPoly(variables, terms)

@@ -112,6 +112,17 @@ def test_huge_exponent_exit_2_at_once(capsys):
     assert "limit 64" in err
 
 
+@pytest.mark.parametrize("form", ["(a+b+x+y)^64", "*".join(["(x+y)^64"] * 100)],
+                         ids=["power-of-four-variables", "product-of-100-powers"])
+def test_expansion_past_the_limits_exit_2_at_once(capsys, form):
+    # expanding took 20 s (47,905 terms) and 13 s (until disc refused degree 6400)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "disc", "--f", form, "--vars", "x,y", "--coeffs", "a,b")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert "limit" in err and "(at position" in err
+
+
 @pytest.mark.parametrize("form", ["x^" + "9" * 5000, "9" * 5000 + "*x^2 + y^2"])
 def test_long_digit_string_exit_2_with_position(capsys, form):
     code, out, err = run(capsys, "disc", "--f", form, "--vars", "x,y")

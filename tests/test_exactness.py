@@ -190,8 +190,11 @@ def test_ternary_hessian_doubles_half_integral_squares_to_int(monkeypatch):
 
 
 def test_schlaefli_interpolates_int_coefficients_for_int_tensors(monkeypatch):
-    # the pencil's form is read off F(1, t) at t = 0..D by divided differences,
-    # each an exact quotient: on an int tensor every coefficient is an int
+    # each list of 3 is a 2x2 pencil's form, written down in closed form: the one
+    # of a 2x2x2, and on a 2x2x2x2 the five of the 2x2x2 slices A + tB at t = 0..4;
+    # the list of 5 is the 2x2x2x2's quartic F(1, t), read off those five values
+    # by divided differences, each an exact quotient: on an int tensor every
+    # coefficient is an int
     module = importlib.import_module("hyperforms.hyperdet")
     seen, closed_form = [], module._closed_form_disc
     monkeypatch.setattr(module, "_closed_form_disc", lambda cs: seen.append(cs) or closed_form(cs))

@@ -172,3 +172,45 @@ def test_parse_canonical_fixed_point():
     for text in ("0", "1", "-1", "x", "-x", "x^2 + x - 1",
                  "3*x^2*y - 1/2*y^3", "x*y - 1"):
         assert str(parse_poly(text, XY)) == text
+
+
+def test_products_obey_the_degree_limit_and_expansions_a_term_budget():
+    abcd = ("a", "b", "c", "d")
+    assert parse_poly("x^32*x^32", XY) == MultiPoly(XY, {(64, 0): 1})
+    assert parse_poly("(0*x^2)^40*x^64", XY).is_zero()  # zero has degree -1
+    assert parse_poly("(a+b+c)^22", abcd) == parse_poly("a+b+c", abcd) ** 22  # C(25, 3) = 2300
+    sums = "*".join(["(x+y)^64"] * 100)
+    for text, variables, pos, complaint in (
+            ("x^64*x", XY, 4, "product exceeds the degree limit 64"),
+            (sums, XY, 8, "product exceeds the degree limit 64"),
+            ("(a+b+c+d)^64", abcd, 10, "power exceeds the term limit 2500"),
+            ("(a+b+c)^23", abcd, 8, "power exceeds the term limit 2500"),
+            ("(a+b)^30*(c+d)^30", abcd, 8, "product exceeds the term limit 2500")):
+        with pytest.raises(ParseError, match=complaint) as err:
+            parse_poly(text, variables)
+        assert err.value.position == pos
+
+
+def test_printed_polynomials_parse_without_polynomial_arithmetic(monkeypatch):
+    # printed text has no product or power of a sum: every term folds into one
+    # monomial, and the result is the one polynomial built
+    rng = random.Random(25)
+    polys = []
+    for _ in range(200):
+        variables = tuple(rng.sample(("x", "y", "z"), rng.randint(1, 3)))
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            c = Fraction(rng.randint(-99, 99), rng.choice((1, 1, rng.randint(1, 9))))
+            if rng.random() < 0.25:
+                c = c * zeta(6) ** rng.randint(1, 5)
+            terms[tuple(rng.randint(0, 5) for _ in variables)] = c
+        polys.append(MultiPoly(variables, terms))
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic while parsing printed text")
+
+    for name in ("__mul__", "__add__", "__pow__", "constant", "variable"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    for p in polys:
+        back = parse_poly(str(p), p.vars)
+        assert back == p and str(back) == str(p)

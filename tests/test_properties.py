@@ -2,7 +2,8 @@
 derivatives against iterated partials, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
 axioms of ``Cyclotomic`` and the print/parse round trip of ``zeta<m>``
-coefficients, contraction against the multiply route, resultants of any two
+coefficients, the parser against its per-token oracle on valid and malformed
+strings, contraction against the multiply route, resultants of any two
 degrees, hyperdeterminants against the contraction route, the closed-form
 pencil of two 2x2 slices against interpolation, skew projections
 of numeric tensors against the polynomial route, hyperresultants of
@@ -29,7 +30,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from hyperforms.classical import sylvester_resultant  # noqa: E402
 from hyperforms.cli import run_command  # noqa: E402
-from hyperforms.errors import DomainError, UnsupportedFormatError  # noqa: E402
+from hyperforms.errors import DomainError, ParseError, UnsupportedFormatError  # noqa: E402
 from hyperforms.gramm import project_k  # noqa: E402
 from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet, hyperdet_degree  # noqa: E402
 from hyperforms.parser import parse_poly  # noqa: E402
@@ -38,6 +39,7 @@ from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
 
+from parser_oracle import parse_poly as oracle_parse  # noqa: E402
 from partials import derivative as iterated_derivative  # noqa: E402
 from schlaefli import contraction_hyperdet, pencil_by_interpolation  # noqa: E402
 from substitute import subs  # noqa: E402
@@ -269,6 +271,80 @@ def test_print_parse_round_trip_with_roots_of_unity(p):
     text = str(p)
     back = parse_poly(text, p.vars)
     assert back == p and str(back) == text
+
+
+_spaces = st.sampled_from(["", " ", "  "])
+_atoms = st.one_of(
+    st.integers(0, 12).map(str),
+    st.builds(lambda a, s, t, b: f"{a}{s}/{t}{b}", st.integers(0, 12), _spaces, _spaces,
+              st.integers(1, 9)),
+    st.sampled_from(["x", "y"] * 3 + ["zeta6"] * 2 + ["zeta2", "zeta1"]))
+# high exponents on atoms only: a sum of several terms to the 64th takes seconds
+_group_exponents = st.sampled_from(["0", "1", "2", "3"])
+_exponents = st.sampled_from(["0", "1", "2", "3", "007", "32", "40", "64"])
+
+
+@st.composite
+def _sums(draw, depth=2):
+    text = ""
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            text += draw(st.sampled_from([" + ", " - ", "+", "-"]))
+        for j in range(draw(st.integers(1, 3))):
+            if j:
+                text += draw(st.sampled_from(["*", " * "]))
+            text += "-" * draw(st.sampled_from([0, 0, 0, 1, 2]))
+            group = depth and draw(st.integers(0, 2)) == 0
+            text += f"({draw(_sums(depth - 1))})" if group else draw(_atoms)
+            if draw(st.integers(0, 2)) == 0:
+                text += "^" + draw(_group_exponents if group else _exponents)
+    return text
+
+
+@st.composite
+def _expressions(draw):
+    text = draw(_sums())
+    if draw(st.booleans()):  # one edit, which mostly makes the text malformed
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["", "(", ")", "+", "*", "^", "$", "2", "t", "zeta65", "/0",
+                                     " / ", "^65", "^1/2", "^-1"]))
+        text = text[:i] + edit + text[i + draw(st.integers(0, 1)):]
+    return text
+
+
+def _parsed(parse, text):
+    try:
+        p = parse(text, ("x", "y"))
+    except ParseError as exc:
+        return str(exc), exc.position
+    return p.vars, {e: (type(c), c) for e, c in p.terms.items()}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_expressions())
+@example("(0*x^2)^40")
+@example("x^40*0*x^40 - 0*y^40*y^40")
+@example("(x - x)^64")
+@example("--x")
+@example("zeta6^3")
+@example("(45*zeta6)*x*y - (25 - 25*zeta6)*y + (zeta6 - 1 - zeta6^2)")
+@example("(zeta6 + zeta6^5)*x")
+@example("1 / 2*x - 3/ 4*y^2 + 5 /6 - 7 / 0")
+@example("x^64*x")
+@example("(x + y)^40*(x - 1/2*y)^24")
+@example("(x + zeta6)^65")
+@example("(" * 98 + "x" + ")" * 98)
+@example("(" * 99 + "x" + ")" * 99)
+@example("(" * 100 + "x" + ")" * 100)
+@example("-" * 98 + "x")
+@example("-" * 99 + "x")
+@example("-" * 100 + "x")
+@example("-(" * 49 + "x" + ")" * 49)
+@example("-(" * 50 + "x" + ")" * 50)
+def test_parser_matches_the_per_token_oracle(text):
+    # the same polynomial with the same coefficient types, or the same error at
+    # the same position; a depth of 99 or 100 parses and 101 is refused
+    assert _parsed(parse_poly, text) == _parsed(oracle_parse, text)
 
 
 @st.composite
