@@ -4,19 +4,26 @@
 Every number, variable and ``zeta<m>`` is a ``MultiPoly.constant`` or
 ``MultiPoly.variable``, every ``*`` a ``MultiPoly`` product, every ``+`` a
 ``MultiPoly`` sum and every ``^`` a ``MultiPoly`` power.  It keeps the same
-grammar, limits, messages and positions as the parser, and its own
-tokenizer, so a property can compare the two on any string.
+grammar, limits, messages and positions as the parser, with its own tokenizer
+and its own statement of the limits, so a property can compare the two on any
+string.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import factorial
 
 from hyperforms.errors import ParseError
-from hyperforms.parser import _MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT, _check_expansion
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import MAX_ORDER, zeta
+
+# the parser's limits, restated so that a wrong one there shows as a difference
+_MAX_DEPTH = 100
+MAX_EXPONENT = 64
+MAX_TERMS = 2500
+MAX_DIGITS = 4300
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -90,8 +97,8 @@ class _Parser:
             degree = p.total_degree() + q.total_degree()
             if degree > MAX_EXPONENT:
                 raise ParseError(f"product exceeds the degree limit {MAX_EXPONENT}", pos)
-            if len(p.terms) > 1 and len(q.terms) > 1:
-                _check_expansion("product", degree, (p.terms, q.terms), pos)
+            if len(p.terms) > 1 and len(q.terms) > 1 and len(p.terms) * len(q.terms) > MAX_TERMS:
+                raise ParseError(f"product exceeds the term limit {MAX_TERMS}", pos)
             p = p * q
         return p
 
@@ -121,8 +128,10 @@ class _Parser:
             if n is None or n > MAX_EXPONENT or n * p.total_degree() > MAX_EXPONENT:
                 raise ParseError(f"power exceeds the exponent and degree limit {MAX_EXPONENT}",
                                  pos)
-            if n > 1 and len(p.terms) > 1:
-                _check_expansion("power", n * p.total_degree(), (p.terms,), pos)
+            t = len(p.terms)  # p^n has at most as many terms as t symbols have degree-n monomials
+            bound = factorial(n + t - 1) // factorial(n) // factorial(t - 1) if t else 0
+            if n > 1 and bound > MAX_TERMS:
+                raise ParseError(f"power exceeds the term limit {MAX_TERMS}", pos)
             return p ** n
         return p
 

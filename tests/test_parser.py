@@ -176,16 +176,22 @@ def test_parse_canonical_fixed_point():
 
 def test_products_obey_the_degree_limit_and_expansions_a_term_budget():
     abcd = ("a", "b", "c", "d")
+    abxy = ("a", "b", "x", "y")
     assert parse_poly("x^32*x^32", XY) == MultiPoly(XY, {(64, 0): 1})
     assert parse_poly("(0*x^2)^40*x^64", XY).is_zero()  # zero has degree -1
-    assert parse_poly("(a+b+c)^22", abcd) == parse_poly("a+b+c", abcd) ** 22  # C(25, 3) = 2300
+    # the budget counts the terms of the operands, not the variables they use
+    assert parse_poly("(a+b+c+d)^22", abcd) == parse_poly("a+b+c+d", abcd) ** 22  # C(25, 3) = 2300
+    assert parse_poly("(a*x + b*y)^7", abxy) == parse_poly("a*x + b*y", abxy) ** 7
+    assert (parse_poly("(x - a*y)^3*(x - b*y)^4", abxy)
+            == parse_poly("x - a*y", abxy) ** 3 * parse_poly("x - b*y", abxy) ** 4)
+    assert parse_poly("(x+y)^64", XY) == parse_poly("x+y", XY) ** 64
     sums = "*".join(["(x+y)^64"] * 100)
     for text, variables, pos, complaint in (
             ("x^64*x", XY, 4, "product exceeds the degree limit 64"),
             (sums, XY, 8, "product exceeds the degree limit 64"),
             ("(a+b+c+d)^64", abcd, 10, "power exceeds the term limit 2500"),
-            ("(a+b+c)^23", abcd, 8, "power exceeds the term limit 2500"),
-            ("(a+b)^30*(c+d)^30", abcd, 8, "product exceeds the term limit 2500")):
+            ("(a+b+c+d)^23", abcd, 10, "power exceeds the term limit 2500"),  # C(26, 3) = 2600
+            ("(a+b+c)^9*(b+c+d)^9", abcd, 9, "product exceeds the term limit 2500")):  # 55 * 55
         with pytest.raises(ParseError, match=complaint) as err:
             parse_poly(text, variables)
         assert err.value.position == pos

@@ -333,6 +333,10 @@ def _parsed(parse, text):
 @example("x^64*x")
 @example("(x + y)^40*(x - 1/2*y)^24")
 @example("(x + zeta6)^65")
+@example("(1 + x + y + x*y)^22")  # at most C(25, 3) = 2300 terms
+@example("(1 + x + y + x*y)^23")  # C(26, 3) = 2600 > 2500
+@example("(1 + x + y)^8*(1 - x - y)^8")  # 45 * 45 = 2025 terms
+@example("(1 + x + y)^9*(1 - x - y)^9")  # 55 * 55 = 3025 > 2500
 @example("(" * 98 + "x" + ")" * 98)
 @example("(" * 99 + "x" + ")" * 99)
 @example("(" * 100 + "x" + ")" * 100)
