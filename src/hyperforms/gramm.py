@@ -20,8 +20,9 @@ from math import factorial
 
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
-from .poly import MultiPoly, constant_values
-from .scalars import Cyclotomic, as_fraction, exact_quotient, root_sum, scalar_pow, zeta
+from .poly import MultiPoly
+from .scalars import (Cyclotomic, as_fraction, canonical, cyclotomic_polynomial, exact_quotient,
+                      scalar_pow, zeta)
 from .tensor import Tensor
 
 
@@ -72,9 +73,9 @@ def orbit_ord(d: int, dim: int) -> OrbitTable:
 
 @lru_cache(maxsize=None)
 def _unity_powers(m: int) -> tuple:
-    """(eps^0, ..., eps^(m-1)) for eps = zeta(m), built once per order."""
+    """(eps^0, ..., eps^(m-1)) for eps = zeta(m), built once per order; +-1 as ``int``."""
     eps = zeta(m)
-    return tuple(scalar_pow(eps, j) for j in range(m))
+    return tuple(canonical(scalar_pow(eps, j)) for j in range(m))
 
 
 def _hypercubic_dims(t: Tensor) -> tuple[int, int]:
@@ -93,8 +94,9 @@ def project_k(t: Tensor, k: int) -> Tensor:
     powers of eps are read from one table per order, and the orbits from one
     table per shape, both cached across calls.  A tensor of constants whose
     cyclotomic entries all have order d! runs on its values: as eps^d! = 1, an
-    orbit's weighted sum is one vector over eps^0 .. eps^(d!-1), and each output
-    is that vector rotated by k*j and reduced once.
+    orbit's weighted sum is one vector over eps^0 .. eps^(d!-1), reduced once;
+    each output is that residue times eps^(k*j), summed over the reduced powers
+    of eps, and divided by the orbit size once per coefficient.
     """
     d, dim = _hypercubic_dims(t)
     fact = factorial(d)
@@ -103,10 +105,11 @@ def project_k(t: Tensor, k: int) -> Tensor:
         raise DomainError(f"component index must satisfy 0 <= k < {fact}, got {k}")
     table = orbit_ord(d, dim)
     powers = _unity_powers(fact)
-    values = constant_values(t.entries)
+    values = t._constants()
     if values and any(type(v) is Cyclotomic and v.order != fact for v in values):
         values = None  # another order meets eps in polynomial arithmetic, which mixes or refuses it
-    entries = [MultiPoly.zero(t.vars)] * len(t.entries)
+    deg = len(cyclotomic_polynomial(fact)) - 1
+    entries = [MultiPoly.zero(t.vars) if values is None else 0] * dim ** d
     for orbit, flat in zip(table.orbits, table.flat):
         if not table.admissible(k, orbit):
             continue
@@ -117,10 +120,17 @@ def project_k(t: Tensor, k: int) -> Tensor:
                 v = values[f]
                 for e, c in enumerate(v.coeffs) if type(v) is Cyclotomic else ((0, v),):
                     acc[(e - k * j) % fact] += c
+            acc = Cyclotomic._make(fact, acc) if any(acc[1:]) else acc[0]
+            acc = acc.coeffs if type(acc) is Cyclotomic else (canonical(acc),)
             for j, f in enumerate(flat):
-                r = k * j % fact
-                value = exact_quotient(root_sum(fact, acc[-r:] + acc[:-r]), s)
-                entries[f] = MultiPoly.constant(value, t.vars)
+                out = [0] * deg
+                for e, c in enumerate(acc):
+                    if c:
+                        p = powers[(e + k * j) % fact]
+                        for i, pc in enumerate(p.coeffs if type(p) is Cyclotomic else (p,)):
+                            out[i] += c * pc
+                entries[f] = (Cyclotomic(fact, tuple(exact_quotient(c, s) for c in out))
+                              if any(out[1:]) else exact_quotient(out[0], s))
             continue
         base = MultiPoly.zero(t.vars)
         for j, f in enumerate(flat):
@@ -128,7 +138,7 @@ def project_k(t: Tensor, k: int) -> Tensor:
         base = base / s
         for j, f in enumerate(flat):
             entries[f] = base * powers[(k * j) % fact]
-    return Tensor._built(t.shape, entries, t.vars)
+    return (Tensor._built if values is None else Tensor._of_values)(t.shape, entries, t.vars)
 
 
 def projector_trace(d: int, dim: int, k: int) -> Fraction:

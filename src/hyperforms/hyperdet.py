@@ -136,8 +136,7 @@ def det_square(t: Tensor) -> MultiPoly:
     """Determinant of a k x k matrix of polynomials, k <= 6."""
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DomainError(f"not a square matrix: shape {_shape_str(t.shape)}")
-    k = hyperdet_degree(t.shape)  # refuses squares above 6x6
-    return det_rows([t.entries[i * k:(i + 1) * k] for i in range(k)])
+    return hyperdet(t)  # refuses squares above 6x6
 
 
 # -- binary and ternary discriminants -----------------------------------------
@@ -247,7 +246,8 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
     """
     if t.shape != (2, 2, 2):
         raise DomainError(f"expected shape 2x2x2, got {_shape_str(t.shape)}")
-    a = {idx: t[idx] for idx in t.indices()}
+    values = t._constants()
+    a = dict(zip(t.indices(), t.entries if values is None else values))
     sq = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
           + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
           + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
@@ -260,7 +260,8 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
              + a[0, 1, 0] * a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1])
     diag = (a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
             + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0] * a[1, 1, 1])
-    return sq - 2 * pairs + 4 * diag
+    hd = sq - 2 * pairs + 4 * diag
+    return hd if values is None else MultiPoly.constant(hd, t.vars)
 
 
 @functools.lru_cache(maxsize=None)
@@ -314,6 +315,6 @@ def hyperdet(t: Tensor) -> MultiPoly:
     ``hyperdet_degree`` does on formats outside that set.
     """
     hyperdet_degree(t.shape)
-    if (values := constant_values(t.entries)) is not None:
+    if (values := t._constants()) is not None:
         return MultiPoly.constant(_schlaefli(t.shape, values), t.vars)
     return _schlaefli(t.shape, t.entries)

@@ -241,11 +241,6 @@ def zeta(m: int):
     return Cyclotomic._make(m, [0, 1])
 
 
-def root_sum(m: int, coeffs: list):
-    """The value of sum_e coeffs[e] * zeta(m)^e, integral values as ``int``; overwrites coeffs."""
-    return canonical(Cyclotomic._make(m, coeffs))
-
-
 def scalar_pow(x, n: int):
     """x**n for rational or cyclotomic x, n possibly negative."""
     if isinstance(x, Cyclotomic):

@@ -15,10 +15,12 @@ import math
 import operator
 
 from .errors import DomainError
-from .poly import COEFF_TYPES, MultiPoly, _coerce_coeff, constant_values, merge_vars
+from .poly import MultiPoly, _coerce_coeff, constant_values, merge_vars
+from .scalars import canonical
 
 
 _MAX_ENTRIES = 8 ** 4  # every entry is stored, so bound the count before building any
+_UNREAD = object()  # a tensor's values before its entries are scanned for them
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -55,11 +57,12 @@ def fresh_names(avoid, count: int) -> tuple[str, ...]:
 class Tensor:
     """Dense tensor with :class:`MultiPoly` entries sharing one variable list.
 
-    Immutable by convention: every operation returns a new tensor, so values
-    can be shared freely across threads.
+    A tensor of constants may hold just their canonical values and build its entries on
+    first read.  Immutable by convention: every operation returns a new tensor and that
+    fill is idempotent, so tensors can be shared freely across threads.
     """
 
-    __slots__ = ("shape", "vars", "entries")
+    __slots__ = ("shape", "vars", "_entries", "_values")
 
     def __init__(self, shape, entries, variables=None):
         self.shape = check_shape(shape)
@@ -67,28 +70,43 @@ class Tensor:
         items = list(entries)
         if len(items) != size:
             raise ValueError(f"expected {size} entries for shape {self.shape}, got {len(items)}")
-        polys = []
-        for x in items:
-            if type(x) is not MultiPoly:  # isinstance against Fraction, an ABC, is slow
-                if not isinstance(x, COEFF_TYPES):
-                    raise TypeError(f"entry is not a polynomial: {x!r}")
-                x = MultiPoly.constant(x)
-            polys.append(x)
+        polys = [x for x in items if type(x) is MultiPoly]
         if variables is None:
             variables = merge_vars(p.vars for p in polys)
         self.vars = tuple(variables)
-        self.entries = [p.with_vars(self.vars) for p in polys]
+        if polys:  # an entry that is neither polynomial nor scalar raises TypeError in both
+            self._entries = [x.with_vars(self.vars) if type(x) is MultiPoly
+                             else MultiPoly.constant(x, self.vars) for x in items]
+            self._values = _UNREAD
+        else:
+            self._entries, self._values = None, [_coerce_coeff(x) for x in items]
 
     @classmethod
-    def _built(cls, shape, entries, variables) -> "Tensor":
+    def _built(cls, shape, entries, variables, values=_UNREAD) -> "Tensor":
         t = object.__new__(cls)  # shape checked, entries a list already on ``variables``
-        t.shape, t.vars, t.entries = shape, variables, entries
+        t.shape, t.vars, t._entries, t._values = shape, variables, entries, values
         return t
 
     @classmethod
+    def _of_values(cls, shape, values, variables) -> "Tensor":
+        return cls._built(shape, None, variables, values)  # values canonical scalars
+
+    @property
+    def entries(self) -> list:
+        """The entries, as polynomials on ``vars``."""
+        if self._entries is None:
+            self._entries = [MultiPoly.constant(v, self.vars) for v in self._values]
+        return self._entries
+
+    def _constants(self) -> list | None:
+        """The entries' values, or None if one has a variable term; scanned at most once."""
+        if self._values is _UNREAD:
+            self._values = constant_values(self._entries)
+        return self._values
+
+    @classmethod
     def zeros(cls, shape, variables=()) -> "Tensor":
-        z = MultiPoly.zero(variables)
-        return cls.from_function(shape, lambda _: z, variables)
+        return cls.from_function(shape, lambda _: 0, variables)
 
     @classmethod
     def from_function(cls, shape, fn, variables=None) -> "Tensor":
@@ -129,8 +147,10 @@ class Tensor:
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for a, b in zip(self.entries, other.entries))
+        if self.shape != other.shape:
+            return False
+        a, b = self._constants(), other._constants()
+        return a == b if a is not None and b is not None else self.entries == other.entries
 
     __hash__ = None
 
@@ -139,19 +159,22 @@ class Tensor:
     def map_entries(self, fn) -> "Tensor":
         return Tensor(self.shape, [fn(p) for p in self.entries])
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, Tensor):
             return NotImplemented
         if self.shape != other.shape:
             raise DomainError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Tensor(self.shape, [a + b for a, b in zip(self.entries, other.entries)])
+        a, b = self._constants(), other._constants()
+        if a is not None and b is not None:
+            return Tensor._of_values(self.shape, [canonical(op(x, y)) for x, y in zip(a, b)],
+                                     merge_vars((self.vars, other.vars)))
+        return Tensor(self.shape, [op(x, y) for x, y in zip(self.entries, other.entries)])
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise DomainError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Tensor(self.shape, [a - b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, operator.sub)
 
     def transpose(self, perm) -> "Tensor":
         perm = tuple(perm)
@@ -159,20 +182,23 @@ class Tensor:
             raise ValueError(f"{perm} is not a permutation of axes")
         new_shape = tuple(self.shape[p] for p in perm)
         inverse = [perm.index(axis) for axis in range(self.ndim)]
-        entries = [self[tuple(nidx[i] for i in inverse)]
-                   for nidx in itertools.product(*map(range, new_shape))]
-        return Tensor(new_shape, entries, self.vars)
+        values = self._constants()
+        items = self.entries if values is None else values
+        items = [items[self.flat_index(tuple(nidx[i] for i in inverse))]
+                 for nidx in itertools.product(*map(range, new_shape))]
+        return (Tensor._built if values is None else Tensor._of_values)(new_shape, items, self.vars)
 
     def _act(self, axes, rows) -> "Tensor":
         """Map each slot in ``axes`` (ascending) through one r x n list of scalars or
         polynomials: new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...].  Scalar
-        rows act on a tensor of constants through its values, wrapped once at the end."""
+        rows act on a tensor of constants through its values and return a tensor of values."""
         shape = check_shape(len(rows) if i in axes else n for i, n in enumerate(self.shape))
         values = None if any(type(c) is MultiPoly for row in rows for c in row) else (
-            constant_values(self.entries))
+            self._constants())
         if values is not None:
             rows = [[_coerce_coeff(c) for c in row] for row in rows]  # True acts as 1, 2/1 as 2
-            vs, entries, dot = self.vars, values, lambda row, col: sum(map(operator.mul, row, col))
+            vs, entries = self.vars, values
+            dot = lambda row, col: canonical(sum(map(operator.mul, row, col)))
         else:
             vs = merge_vars([self.vars] + [c.vars for row in rows for c in row
                                            if type(c) is MultiPoly])
@@ -186,9 +212,7 @@ class Tensor:
             entries = [dot(row, entries[start + k:start + step:inner])
                        for start in range(0, len(entries), step)
                        for row in rows for k in range(inner)]
-        if values is not None:
-            entries = [MultiPoly.constant(v, vs) for v in entries]
-        return Tensor._built(shape, entries, vs)
+        return (Tensor._built if values is None else Tensor._of_values)(shape, entries, vs)
 
     def contract_axis(self, axis: int, var_names) -> "Tensor":
         """Replace one axis by a linear form in fresh variables.

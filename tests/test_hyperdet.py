@@ -9,6 +9,7 @@ import pytest
 
 import hyperforms
 from hyperforms.errors import DomainError, UnsupportedFormatError
+from hyperforms.gramm import gramm_form, project_k, skew_gramm
 from hyperforms.hyperdet import (
     binary_form_disc,
     cayley_hyperdet_222,
@@ -200,6 +201,12 @@ def test_numeric_matrices_and_forms_never_reach_polynomial_arithmetic(monkeypatc
               (lambda fs: hyperresultant(fs, XY), [form(2), form(2), form(2)]),
               (lambda fs: hyperresultant(fs, XY), [form(3), form(3)]),
               (lambda fs: hyperforms.sylvester_resultant(*fs), [quartic, form(4)])]
+    vecs = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+    calls += [(cayley_hyperdet_222, rand_tensor(rng, (2, 2, 2))),
+              (lambda t: hyperdet(project_k(t, 2)), rand_tensor(rng, (2, 2, 2))),
+              (lambda t: hyperdet(project_k(t, 12)), rand_tensor(rng, (2, 2, 2, 2))),
+              (lambda t: gramm_form(t, vecs).base, rand_tensor(rng, (3, 3))),
+              (lambda t: skew_gramm(t, vecs[:2], 1).base, rand_tensor(rng, (3, 3)))]
     expected = [fn(arg) for fn, arg in calls]
     assert not any(value.is_zero() for value in expected)
 

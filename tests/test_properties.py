@@ -6,7 +6,8 @@ coefficients, the parser against its per-token oracle on valid and malformed
 strings, contraction against the multiply route, resultants of any two
 degrees, hyperdeterminants against the contraction route, the closed-form
 pencil of two 2x2 slices against interpolation, skew projections
-of numeric tensors against the polynomial route, hyperresultants of
+of numeric tensors against the polynomial route (also with a fresh variable
+substituted away, types and variables included), hyperresultants of
 random systems against the format rule, and CLI argvs that may only end in
 documented exit codes."""
 
@@ -448,6 +449,38 @@ def test_numeric_projections_match_polynomial_route(t):
     for k, part in enumerate(parts):
         assert project_k(t.map_entries(lambda p: p * s), k) == part.map_entries(lambda p: p * s)
     assert sum(parts[1:], parts[0]) == t
+
+
+@st.composite
+def projection_cases(draw):
+    # int, Fraction and order-d! cyclotomic entries; one entry gains c*b, b a fresh variable
+    shape = draw(st.sampled_from([(3, 3), (3, 3, 3), (2, 2, 2, 2)]))
+    m, size = math.factorial(len(shape)), math.prod(shape)
+    root = st.builds(lambda c, e: c * zeta(m) ** e, rationals, st.integers(0, m - 1))
+    entry = st.one_of(ints, st.fractions(-9, 9, max_denominator=9),
+                      st.builds(lambda a, b: a + b, rationals, root))
+    values = draw(st.lists(entry, min_size=size, max_size=size))
+    coefficient = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    return shape, values, draw(st.integers(0, size - 1)), coefficient
+
+
+def _typed_entries(t):
+    return [(p.vars, sorted((e, repr(c)) for e, c in p.terms.items())) for p in t.entries]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(projection_cases())
+def test_projection_values_route_matches_substituted_polynomial_route(case):
+    # the projection is linear, so setting b = 0 after the polynomial route leaves the values'
+    shape, values, pos, c = case
+    t = Tensor(shape, values, ("a",))
+    forced = [MultiPoly.constant(v, ("a", "b")) for v in values]
+    forced[pos] = forced[pos] + c * MultiPoly.variable("b", ("a", "b"))
+    forced = Tensor(shape, forced)
+    assert forced._constants() is None  # so its projections run the polynomial route
+    for k in range(math.factorial(len(shape))):
+        want = Tensor(shape, [subs(p, {"b": 0}) for p in project_k(forced, k).entries], ("a",))
+        assert _typed_entries(project_k(t, k)) == _typed_entries(want)
 
 
 @st.composite

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from hyperforms.errors import DomainError
+from hyperforms.gramm import project_k
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
+from hyperforms.scalars import Cyclotomic, zeta
 from hyperforms.tensor import Tensor, check_shape, fresh_names, multi_indices
 
 
@@ -250,3 +252,54 @@ def test_tensor_subtraction():
     a, b = const_tensor((2, 2), [5, 0, -1, 2]), const_tensor((2, 2), [1, 3, -1, 0])
     assert a - b == const_tensor((2, 2), [4, -3, 0, 2])
     assert (a - a).entries == Tensor.zeros((2, 2)).entries
+
+
+# -- tensors of constants ----------------------------------------------------------------
+
+
+def _canonical(c):
+    if type(c) is Cyclotomic:
+        return all(map(_canonical, c.coeffs))
+    return type(c) is int or type(c) is Fraction and c.denominator > 1
+
+
+def test_tensors_of_constants_build_entries_on_first_read(monkeypatch):
+    rng = random.Random(29)
+    values = [rng.choice([0, 3, -1, Fraction(1, 2), Fraction(4, 2), True, zeta(6), 1 - zeta(6)])
+              for _ in range(27)]
+    g = [[1, 2, 0], [0, 1, Fraction(1, 2)], [3, 0, 1]]
+    # a polynomial row entry takes the polynomial route, as every tensor did before
+    want = Tensor((3, 3, 3), values, ("a",)).apply_gl(1, [[MultiPoly.constant(1), 2, 0]] + g[1:])
+    built, constant = [], MultiPoly.constant
+    monkeypatch.setattr(MultiPoly, "constant",
+                        staticmethod(lambda v, vs=(): built.append(v) or constant(v, vs)))
+    t = Tensor((3, 3, 3), values, ("a",))
+    acted = t.apply_gl(1, g)
+    parts = [project_k(t, k) for k in range(6)]
+    assert not built
+    assert acted.entries == want.entries
+    for got in [t, acted] + parts:
+        assert all(map(_canonical, got._constants()))
+        entries = got.entries
+        assert got.entries is entries
+        for p in entries:
+            assert p.vars == ("a",)
+            assert all(c and _canonical(c) for c in p.terms.values())
+    assert [p.terms for p in t.entries] == [{(0,): 1 if v is True else v} if v else {}
+                                            for v in values]
+    assert built
+
+
+def test_value_backed_and_entry_backed_tensors_compare_by_value():
+    values = [0, 2, Fraction(1, 2), zeta(6)]
+    t = Tensor((2, 2), values)
+    assert t == const_tensor((2, 2), values) and const_tensor((2, 2), values) == t
+    assert t == Tensor((2, 2), values, ("a", "b"))  # as for MultiPoly, the variables do not count
+    assert t != const_tensor((2, 2), values[:3] + [1])
+    assert t != Tensor((2, 2), values[:3] + [MultiPoly.variable("a")])
+    assert t != Tensor((4,), values)
+    doubled = t + const_tensor((2, 2), values)
+    assert doubled == const_tensor((2, 2), [0, 4, 1, 2 * zeta(6)])
+    assert [type(v) for v in doubled._constants()] == [int, int, int, Cyclotomic]
+    assert (t - t)._constants() == [0] * 4 and all(type(v) is int for v in (t - t)._constants())
+    assert t.transpose((1, 0)) == const_tensor((2, 2), [0, Fraction(1, 2), 2, zeta(6)])
