@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .hyperdet import _bounded_degree, _resultant, det_rows, det_square
-from .poly import MultiPoly, binary_vars, constant_values, merge_vars
+from .poly import MultiPoly, binary_vars, lift, lower, merge_vars
 from .tensor import Tensor
 
 
@@ -21,14 +21,13 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
         raise DomainError("resultant of the zero polynomial is undefined")
     # one variable tuple with f's names first, though rows of g may come first
     merged = merge_vars((f.vars, g.vars))
-    avec, bvec = (h.with_vars(merged).binary_coefficients(xy) for h in (f, g))
+    cs = [h.with_vars(merged).binary_coefficients(xy) for h in (f, g)]
+    avec, bvec = [list(map(lower, h)) for h in cs]
     m = _bounded_degree("resultant", len(avec) - 1, 1)
     n = _bounded_degree("resultant", len(bvec) - 1, 1)
-    values = constant_values(avec + bvec)  # a numeric pair is eliminated on its values
-    ring = (avec, bvec) if values is None else (values[:m + 1], values[m + 1:])
-    res = _resultant(*ring) if m >= n else _resultant(*ring[::-1])
+    res = _resultant(avec, bvec) if m >= n else _resultant(bvec, avec)
     res = -res if m < n and m * n % 2 else res  # Res(f, g) = (-1)^(mn) Res(g, f)
-    return res if values is None else MultiPoly.constant(res, avec[0].vars)
+    return lift(res, cs[0][0].vars)
 
 
 def hankel_matrix(f: MultiPoly, xy=("x", "y")) -> Tensor:

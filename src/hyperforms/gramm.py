@@ -20,8 +20,8 @@ from math import factorial
 
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
-from .poly import MultiPoly
-from .scalars import (Cyclotomic, as_fraction, canonical, cyclotomic_polynomial, exact_quotient,
+from .poly import MultiPoly, lower
+from .scalars import (Cyclotomic, as_rational, canonical, cyclotomic_polynomial, exact_quotient,
                       scalar_pow, zeta)
 from .tensor import Tensor
 
@@ -85,6 +85,14 @@ def _hypercubic_dims(t: Tensor) -> tuple[int, int]:
     return t.ndim, dims.pop()
 
 
+def _component(d: int, k) -> int:
+    """The index k of an eps^k-skew component of a d-tensor, refused unless 0 <= k < d!."""
+    k, fact = operator.index(k), factorial(d)
+    if not 0 <= k < fact:
+        raise DomainError(f"component index must satisfy 0 <= k < {fact}, got {k}")
+    return k
+
+
 def project_k(t: Tensor, k: int) -> Tensor:
     """Projection onto the eps^k-skew component.
 
@@ -99,25 +107,25 @@ def project_k(t: Tensor, k: int) -> Tensor:
     of eps, and divided by the orbit size once per coefficient.
     """
     d, dim = _hypercubic_dims(t)
+    k = _component(d, k)
     fact = factorial(d)
-    k = operator.index(k)
-    if not 0 <= k < fact:
-        raise DomainError(f"component index must satisfy 0 <= k < {fact}, got {k}")
     table = orbit_ord(d, dim)
     powers = _unity_powers(fact)
-    values = t._constants()
-    if values and any(type(v) is Cyclotomic and v.order != fact for v in values):
-        values = None  # another order meets eps in polynomial arithmetic, which mixes or refuses it
+    items = t._items
+    # a polynomial, or a root of unity of another order, meets eps in generic arithmetic,
+    # which mixes or refuses it
+    generic = any(type(v) is MultiPoly or type(v) is Cyclotomic and v.order != fact
+                  for v in items)
     deg = len(cyclotomic_polynomial(fact)) - 1
-    entries = [MultiPoly.zero(t.vars) if values is None else 0] * dim ** d
+    entries = [0] * dim ** d
     for orbit, flat in zip(table.orbits, table.flat):
         if not table.admissible(k, orbit):
             continue
         s = orbit.size
-        if values is not None:
+        if not generic:
             acc = [0] * fact
             for j, f in enumerate(flat):
-                v = values[f]
+                v = items[f]
                 for e, c in enumerate(v.coeffs) if type(v) is Cyclotomic else ((0, v),):
                     acc[(e - k * j) % fact] += c
             acc = Cyclotomic._make(fact, acc) if any(acc[1:]) else acc[0]
@@ -132,13 +140,13 @@ def project_k(t: Tensor, k: int) -> Tensor:
                 entries[f] = (Cyclotomic(fact, tuple(exact_quotient(c, s) for c in out))
                               if any(out[1:]) else exact_quotient(out[0], s))
             continue
-        base = MultiPoly.zero(t.vars)
+        base = 0
         for j, f in enumerate(flat):
-            base = base + t.entries[f] * powers[(-k * j) % fact]
-        base = base / s
+            base = base + items[f] * powers[(-k * j) % fact]
+        base = exact_quotient(base, s)
         for j, f in enumerate(flat):
-            entries[f] = base * powers[(k * j) % fact]
-    return (Tensor._built if values is None else Tensor._of_values)(t.shape, entries, t.vars)
+            entries[f] = lower(base * powers[(k * j) % fact])
+    return Tensor._built(t.shape, entries, t.vars)
 
 
 def projector_trace(d: int, dim: int, k: int) -> Fraction:
@@ -168,7 +176,7 @@ def gramm_tensor(form: Tensor, vectors) -> Tensor:
     full contraction of the form against the selected vectors, computed by
     contracting one slot at a time with the whole tuple."""
     d, dim = _hypercubic_dims(form)
-    vecs = [[as_fraction(c) for c in v] for v in vectors]
+    vecs = [[as_rational(c) for c in v] for v in vectors]
     if any(len(v) != dim for v in vecs):
         raise DomainError(f"vectors must have dimension {dim}")
     if not vecs:
@@ -200,23 +208,28 @@ def _exponent(d: int, m: int) -> Fraction:
     return Fraction(m, d * hyperdet_degree((m,) * d))
 
 
+def _gramm(form: Tensor, vectors, k=None) -> GrammValue:
+    d, _ = _hypercubic_dims(form)
+    if k is not None:
+        k = _component(d, k)
+    vecs = list(vectors)
+    exponent = _exponent(d, len(vecs))
+    if len(vecs) < d:
+        return GrammValue(MultiPoly.zero(form.vars), exponent)
+    t = gramm_tensor(form, vecs)
+    return GrammValue(hyperdet(t if k is None else project_k(t, k)), exponent)
+
+
 def gramm_form(form: Tensor, vectors) -> GrammValue:
     """Hyperdeterminant of the Gramm tensor with its homogenising exponent.
 
     Fewer vectors than slots gives the identically-zero form, recorded as a
     zero base without computing a hyperdeterminant.
     """
-    d, _ = _hypercubic_dims(form)
-    vecs = list(vectors)
-    exponent = _exponent(d, len(vecs))
-    if len(vecs) < d:
-        return GrammValue(MultiPoly.zero(form.vars), exponent)
-    return GrammValue(hyperdet(gramm_tensor(form, vecs)), exponent)
+    return _gramm(form, vectors)
 
 
 def skew_gramm(form: Tensor, vectors, k: int) -> GrammValue:
-    """Gramm form of the eps^k-skew part of the Gramm tensor."""
-    d, _ = _hypercubic_dims(form)
-    vecs = list(vectors)
-    exponent = _exponent(d, len(vecs))
-    return GrammValue(hyperdet(project_k(gramm_tensor(form, vecs), k)), exponent)
+    """Gramm form of the eps^k-skew part of the Gramm tensor; a zero base, as for
+    ``gramm_form``, with fewer vectors than slots."""
+    return _gramm(form, vectors, k)

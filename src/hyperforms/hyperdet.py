@@ -11,9 +11,9 @@ from F(1, t) at t = 0..D by Newton divided differences, a ternary quadratic
 as its Hessian from F at e_i and e_i + e_j.  The pencil of two 2x2 slices is
 read in closed form: det(A + tB) = det A + (a0 b3 + b0 a3 - a1 b2 - b1 a2) t
 + det B t^2.  A hardcoded degree-4 expansion for 2x2x2 cross-checks the
-recursion.  A numeric matrix, tensor, binary form or resultant, every entry a
-constant, is computed on the values (``int``, ``Fraction``, ``Cyclotomic``)
-and only the result is wrapped.
+recursion.  Entries and coefficients are computed as items (``poly.lower``): a
+constant as its value (``int``, ``Fraction``, ``Cyclotomic``), anything else as a
+polynomial; each public function lowers its input once and lifts its result once.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
 the coefficients.  Degrees 5 to 32, and resultants of forms of any degrees
@@ -28,7 +28,7 @@ import math
 import operator
 
 from .errors import DomainError, UnsupportedFormatError
-from .poly import MultiPoly, constant_values, merge_vars
+from .poly import MultiPoly, lift, lower, merge_vars
 from .scalars import exact_quotient
 from .tensor import Tensor, check_shape
 
@@ -101,10 +101,13 @@ def _cross(a, b, c, d):
 
 
 def _det(rows):
-    """Determinant of a nonempty square list-of-lists of polynomials or of values."""
-    if type(rows[0][0]) is MultiPoly:
-        return det_rows(rows)
-    return _eliminate(rows, _cross, exact_quotient)
+    """Determinant of a nonempty square list-of-lists of items, eliminated as values, or
+    as polynomials on the union of their variables when an item is one."""
+    if not (polys := [x.vars for row in rows for x in row if type(x) is MultiPoly]):
+        return _eliminate(rows, _cross, exact_quotient)
+    vs = merge_vars(polys)
+    return _eliminate([[lift(x, vs) for x in row] for row in rows],
+                      lambda a, b, c, d: MultiPoly.dot(vs, (a, c), (b, -d)), _poly_quotient)
 
 
 def _poly_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -116,9 +119,9 @@ def _poly_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 def det_rows(rows) -> MultiPoly:
     """Determinant of a square list-of-lists of polynomials, on the union of their
-    variables; the empty matrix gives 1.  Constant entries are eliminated as their
-    values (``int``, ``Fraction``, ``Cyclotomic``) and only the result is wrapped;
-    other entries stay polynomials, divided exactly, so they never leave the ring.
+    variables; the empty matrix gives 1.  A matrix of constants is eliminated on their
+    values (``int``, ``Fraction``, ``Cyclotomic``); otherwise every entry is a
+    polynomial, divided exactly, so it never leaves the ring.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -126,10 +129,7 @@ def det_rows(rows) -> MultiPoly:
     merged = merge_vars(p.vars for row in rows for p in row)
     if n == 0:
         return MultiPoly.constant(1)
-    if (values := constant_values(p for row in rows for p in row)) is not None:
-        return MultiPoly.constant(_det([values[i * n:(i + 1) * n] for i in range(n)]), merged)
-    return _eliminate([[p.with_vars(merged) for p in row] for row in rows],
-                      lambda a, b, c, d: MultiPoly.dot(merged, (a, c), (b, -d)), _poly_quotient)
+    return lift(_det([list(map(lower, row)) for row in rows]), merged)
 
 
 def det_square(t: Tensor) -> MultiPoly:
@@ -147,9 +147,9 @@ def det_square(t: Tensor) -> MultiPoly:
 _MAX_DEGREE = 32
 
 
-def _resultant_rows(avec, bvec, zero):
-    """Hybrid Bezout-Sylvester matrix of coefficient vectors of degrees m >= n, over
-    a ring (polynomials or values) whose zero is ``zero``.
+def _resultant(avec, bvec):
+    """Res of item vectors of degrees m >= n, the determinant of their hybrid
+    Bezout-Sylvester matrix.
 
     Cayley's symmetric recurrence B[i][j] = B[i-1][j+1] + p[j+1]*q[i] - p[i]*q[j+1]
     runs on f and x^(m-n) g, with p[k], q[k] the coefficients of x^k.  The rows
@@ -158,19 +158,14 @@ def _resultant_rows(avec, bvec, zero):
     ch. 12).  Column j holds the coefficient of x^j; for m = n this is B reversed.
     """
     m, n = len(avec) - 1, len(bvec) - 1
-    p, q = avec[::-1], [zero] * (m - n) + bvec[::-1]
+    p, q = avec[::-1], [0] * (m - n) + bvec[::-1]
     b = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
             entry = p[j + 1] * q[i] - p[i] * q[j + 1]
             b[i][j] = b[j][i] = entry + b[i - 1][j + 1] if i and j + 1 < m else entry
-    shifted = [[zero] * j + bvec[::-1] + [zero] * (m - n - 1 - j) for j in range(m - n)]
-    return shifted + b[::-1][:n]
-
-
-def _resultant(avec, bvec):
-    """Res of coefficient vectors of degrees m >= n, polynomials or values alike."""
-    return _det(_resultant_rows(avec, bvec, MultiPoly.zero() if type(avec[0]) is MultiPoly else 0))
+    shifted = [[0] * j + bvec[::-1] + [0] * (m - n - 1 - j) for j in range(m - n)]
+    return _det(shifted + b[::-1][:n])
 
 
 def _closed_form_disc(cs):
@@ -214,14 +209,14 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
         _bounded_degree("discriminant", degree, 2)
     cs = f.binary_coefficients(xy, degree)
     d = _bounded_degree("discriminant", len(cs) - 1, 2)
-    ring = cs if (values := constant_values(cs)) is None else values
+    items = list(map(lower, cs))
     if d > 4:  # the coefficients of df/dx and df/dy, read off those of f
-        res = _resultant([(d - i) * c for i, c in enumerate(ring[:-1])],
-                         [i * c for i, c in enumerate(ring) if i])
+        res = _resultant([(d - i) * c for i, c in enumerate(items[:-1])],
+                         [i * c for i, c in enumerate(items) if i])
         disc = exact_quotient(res * (-1) ** (d * (d - 1) // 2), d ** (d - 2))
     else:
-        disc = _closed_form_disc(ring)
-    return disc if values is None else MultiPoly.constant(disc, cs[0].vars)
+        disc = _closed_form_disc(items)
+    return lift(disc, cs[0].vars)
 
 
 def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:
@@ -246,8 +241,7 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
     """
     if t.shape != (2, 2, 2):
         raise DomainError(f"expected shape 2x2x2, got {_shape_str(t.shape)}")
-    values = t._constants()
-    a = dict(zip(t.indices(), t.entries if values is None else values))
+    a = dict(zip(t.indices(), t._items))
     sq = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
           + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
           + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
@@ -261,7 +255,7 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
     diag = (a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
             + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0] * a[1, 1, 1])
     hd = sq - 2 * pairs + 4 * diag
-    return hd if values is None else MultiPoly.constant(hd, t.vars)
+    return lift(hd, t.vars)
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,8 +270,7 @@ def _split(shape):
 
 
 def _schlaefli(shape, xs):
-    """Hyperdeterminant of the row-major entries ``xs``, all polynomials or all values,
-    on a supported ``shape``."""
+    """Hyperdeterminant of the row-major items ``xs`` on a supported ``shape``."""
     if shape == (2, 2):
         a, b, c, d = xs
         return a * d - b * c
@@ -315,6 +308,4 @@ def hyperdet(t: Tensor) -> MultiPoly:
     ``hyperdet_degree`` does on formats outside that set.
     """
     hyperdet_degree(t.shape)
-    if (values := t._constants()) is not None:
-        return MultiPoly.constant(_schlaefli(t.shape, values), t.vars)
-    return _schlaefli(t.shape, t.entries)
+    return lift(_schlaefli(t.shape, t._items), t.vars)

@@ -18,7 +18,7 @@ import operator
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
 from .parser import MAX_EXPONENT
-from .poly import MultiPoly, form_vars, merge_vars
+from .poly import MultiPoly, form_vars, lower, merge_vars
 from .tensor import Tensor, check_shape, multi_indices
 
 
@@ -31,8 +31,8 @@ def _layout(n: int, key: tuple[int, ...]):
 
 
 def _derivatives(f: MultiPoly, geo, alphas) -> dict:
-    """The partial of ``f`` for each distinct multi-index over ``geo``, one pass each."""
-    return {alpha: f.derivative(geo, alpha) for alpha in set(alphas)}
+    """The partial of ``f`` for each distinct multi-index over ``geo`` as an item, one pass each."""
+    return {alpha: lower(f.derivative(geo, alpha)) for alpha in set(alphas)}
 
 
 def _system(forms, geo):
@@ -74,7 +74,7 @@ def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
     geometric variables, and slots with equal k_i may be exchanged freely.
     """
     t = jacobi_form([f], _key(key), geo_vars)
-    return Tensor._built(t.shape[:-1], t.entries, t.vars)
+    return Tensor._built(t.shape[:-1], t._items, t.vars)
 
 
 def hyperhessian(f: MultiPoly, key, geo_vars) -> MultiPoly:

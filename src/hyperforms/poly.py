@@ -44,15 +44,20 @@ def binary_vars(xy) -> tuple[str, ...]:
     return xy
 
 
-def constant_values(polys) -> list | None:
-    """The value of each constant polynomial (0 for zero, integral values as ``int``),
-    or None at the first polynomial with a variable term."""
-    values = []
-    for p in polys:
-        if len(t := p.terms) > 1 or t and any(next(iter(t))):
-            return None
-        values.append(next(iter(t.values()), 0))
-    return values
+def lower(x):
+    """The item of a polynomial or scalar: the canonical value of a constant (0 for zero,
+    integral values as ``int``), else the polynomial itself.  With ``lift`` this is the
+    one place where a constant crosses between the two forms."""
+    if type(x) is not MultiPoly:
+        return x if type(x) is int else _coerce_coeff(x)
+    if len(t := x.terms) > 1 or t and any(next(iter(t))):
+        return x
+    return next(iter(t.values()), 0)
+
+
+def lift(x, variables) -> "MultiPoly":
+    """An item as a polynomial on ``variables``, which cover the variables it uses."""
+    return x.with_vars(variables) if type(x) is MultiPoly else MultiPoly.constant(x, variables)
 
 
 def _coerce_coeff(c):
@@ -167,9 +172,9 @@ class MultiPoly:
     def as_scalar(self):
         """The value of a constant polynomial (0 for the zero polynomial);
         a rational value is returned as a ``Fraction``."""
-        if (values := constant_values([self])) is None:
+        if type(value := lower(self)) is MultiPoly:
             raise DomainError(f"not a constant polynomial: {self}")
-        return Fraction(values[0]) if type(values[0]) is int else values[0]
+        return Fraction(value) if type(value) is int else value
 
     # -- variable plumbing ---------------------------------------------------
 

@@ -19,11 +19,10 @@ RATIONAL_TYPES = (int, Fraction)
 MAX_ORDER = 64  # the largest order of zeta(m); Cyclotomic.inverse slows beyond it
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def as_rational(x):
+    """``x`` itself when it is an ``int`` or a ``Fraction``; TypeError otherwise."""
+    if isinstance(x, RATIONAL_TYPES):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
@@ -245,5 +244,4 @@ def scalar_pow(x, n: int):
     """x**n for rational or cyclotomic x, n possibly negative."""
     if isinstance(x, Cyclotomic):
         return x ** n
-    x = as_fraction(x)
-    return x ** n
+    return Fraction(as_rational(x)) ** n

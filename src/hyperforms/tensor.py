@@ -13,14 +13,19 @@ import itertools
 import json
 import math
 import operator
+from functools import reduce
+from operator import add, mul
 
 from .errors import DomainError
-from .poly import MultiPoly, _coerce_coeff, constant_values, merge_vars
-from .scalars import canonical
+from .poly import MultiPoly, lift, lower, merge_vars
 
 
 _MAX_ENTRIES = 8 ** 4  # every entry is stored, so bound the count before building any
-_UNREAD = object()  # a tensor's values before its entries are scanned for them
+
+
+def _lowered(xs, variables) -> list:
+    """The items of polynomials or scalars whose variables are among ``variables``."""
+    return [x.with_vars(variables) if type(x) is MultiPoly else x for x in map(lower, xs)]
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -55,54 +60,39 @@ def fresh_names(avoid, count: int) -> tuple[str, ...]:
 
 
 class Tensor:
-    """Dense tensor with :class:`MultiPoly` entries sharing one variable list.
+    """Dense tensor of polynomial entries sharing one variable list.
 
-    A tensor of constants may hold just their canonical values and build its entries on
-    first read.  Immutable by convention: every operation returns a new tensor and that
-    fill is idempotent, so tensors can be shared freely across threads.
+    Each entry is held as its item (``poly.lower``): its canonical value when constant,
+    else a :class:`MultiPoly` on ``vars``; ``entries`` lifts the items on first read.
+    Immutable by convention: every operation returns a new tensor and that fill is
+    idempotent, so tensors can be shared freely across threads.
     """
 
-    __slots__ = ("shape", "vars", "_entries", "_values")
+    __slots__ = ("shape", "vars", "_items", "_entries")
 
     def __init__(self, shape, entries, variables=None):
         self.shape = check_shape(shape)
         size = math.prod(self.shape)
-        items = list(entries)
-        if len(items) != size:
-            raise ValueError(f"expected {size} entries for shape {self.shape}, got {len(items)}")
-        polys = [x for x in items if type(x) is MultiPoly]
+        entries = list(entries)
+        if len(entries) != size:
+            raise ValueError(f"expected {size} entries for shape {self.shape}, got {len(entries)}")
         if variables is None:
-            variables = merge_vars(p.vars for p in polys)
+            variables = merge_vars(x.vars for x in entries if type(x) is MultiPoly)
         self.vars = tuple(variables)
-        if polys:  # an entry that is neither polynomial nor scalar raises TypeError in both
-            self._entries = [x.with_vars(self.vars) if type(x) is MultiPoly
-                             else MultiPoly.constant(x, self.vars) for x in items]
-            self._values = _UNREAD
-        else:
-            self._entries, self._values = None, [_coerce_coeff(x) for x in items]
+        self._items, self._entries = _lowered(entries, self.vars), None
 
     @classmethod
-    def _built(cls, shape, entries, variables, values=_UNREAD) -> "Tensor":
-        t = object.__new__(cls)  # shape checked, entries a list already on ``variables``
-        t.shape, t.vars, t._entries, t._values = shape, variables, entries, values
+    def _built(cls, shape, items, variables) -> "Tensor":
+        t = object.__new__(cls)  # shape checked, items a list already on ``variables``
+        t.shape, t.vars, t._items, t._entries = shape, variables, items, None
         return t
-
-    @classmethod
-    def _of_values(cls, shape, values, variables) -> "Tensor":
-        return cls._built(shape, None, variables, values)  # values canonical scalars
 
     @property
     def entries(self) -> list:
         """The entries, as polynomials on ``vars``."""
         if self._entries is None:
-            self._entries = [MultiPoly.constant(v, self.vars) for v in self._values]
+            self._entries = [lift(x, self.vars) for x in self._items]
         return self._entries
-
-    def _constants(self) -> list | None:
-        """The entries' values, or None if one has a variable term; scanned at most once."""
-        if self._values is _UNREAD:
-            self._values = constant_values(self._entries)
-        return self._values
 
     @classmethod
     def zeros(cls, shape, variables=()) -> "Tensor":
@@ -147,10 +137,7 @@ class Tensor:
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        a, b = self._constants(), other._constants()
-        return a == b if a is not None and b is not None else self.entries == other.entries
+        return self.shape == other.shape and self._items == other._items
 
     __hash__ = None
 
@@ -164,11 +151,8 @@ class Tensor:
             return NotImplemented
         if self.shape != other.shape:
             raise DomainError(f"shape mismatch: {self.shape} vs {other.shape}")
-        a, b = self._constants(), other._constants()
-        if a is not None and b is not None:
-            return Tensor._of_values(self.shape, [canonical(op(x, y)) for x, y in zip(a, b)],
-                                     merge_vars((self.vars, other.vars)))
-        return Tensor(self.shape, [op(x, y) for x, y in zip(self.entries, other.entries)])
+        vs = merge_vars((self.vars, other.vars))
+        return Tensor._built(self.shape, _lowered(map(op, self._items, other._items), vs), vs)
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -182,37 +166,24 @@ class Tensor:
             raise ValueError(f"{perm} is not a permutation of axes")
         new_shape = tuple(self.shape[p] for p in perm)
         inverse = [perm.index(axis) for axis in range(self.ndim)]
-        values = self._constants()
-        items = self.entries if values is None else values
-        items = [items[self.flat_index(tuple(nidx[i] for i in inverse))]
+        items = [self._items[self.flat_index(tuple(nidx[i] for i in inverse))]
                  for nidx in itertools.product(*map(range, new_shape))]
-        return (Tensor._built if values is None else Tensor._of_values)(new_shape, items, self.vars)
+        return Tensor._built(new_shape, items, self.vars)
 
     def _act(self, axes, rows) -> "Tensor":
         """Map each slot in ``axes`` (ascending) through one r x n list of scalars or
-        polynomials: new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...].  Scalar
-        rows act on a tensor of constants through its values and return a tensor of values."""
+        polynomials: new[..., i, ...] = sum_j rows[i][j] * old[..., j, ...]."""
         shape = check_shape(len(rows) if i in axes else n for i, n in enumerate(self.shape))
-        values = None if any(type(c) is MultiPoly for row in rows for c in row) else (
-            self._constants())
-        if values is not None:
-            rows = [[_coerce_coeff(c) for c in row] for row in rows]  # True acts as 1, 2/1 as 2
-            vs, entries = self.vars, values
-            dot = lambda row, col: canonical(sum(map(operator.mul, row, col)))
-        else:
-            vs = merge_vars([self.vars] + [c.vars for row in rows for c in row
-                                           if type(c) is MultiPoly])
-            entries = [p.with_vars(vs) for p in self.entries]
-            rows = [[c.with_vars(vs) if type(c) is MultiPoly else MultiPoly.constant(c, vs)
-                     for c in row] for row in rows]
-            dot = lambda row, col: MultiPoly.dot(vs, row, col)
+        vs = merge_vars([self.vars] + [c.vars for row in rows for c in row if type(c) is MultiPoly])
+        rows = [list(map(lower, row)) for row in rows]  # True acts as 1, 2/1 as 2
+        items = self._items
         for axis in axes:  # the axes after ``axis`` are not mapped yet
             inner = math.prod(self.shape[axis + 1:])
             step = self.shape[axis] * inner
-            entries = [dot(row, entries[start + k:start + step:inner])
-                       for start in range(0, len(entries), step)
-                       for row in rows for k in range(inner)]
-        return (Tensor._built if values is None else Tensor._of_values)(shape, entries, vs)
+            items = [reduce(add, map(mul, row, items[start + k:start + step:inner]))
+                     for start in range(0, len(items), step)
+                     for row in rows for k in range(inner)]
+        return Tensor._built(shape, _lowered(items, vs), vs)
 
     def contract_axis(self, axis: int, var_names) -> "Tensor":
         """Replace one axis by a linear form in fresh variables.
@@ -232,7 +203,7 @@ class Tensor:
         vs = self.vars + names
         inner = math.prod(self.shape[axis + 1:])
         step = self.shape[axis] * inner
-        entries = [MultiPoly.pencil(vs, self.entries[start + k:start + step:inner])
+        entries = [lower(MultiPoly.pencil(vs, self.entries[start + k:start + step:inner]))
                    for start in range(0, len(self.entries), step) for k in range(inner)]
         return Tensor._built(self.shape[:axis] + self.shape[axis + 1:], entries, vs)
 

@@ -2,6 +2,9 @@
 Bezout-Sylvester matrix behind ``sylvester_resultant`` and
 ``binary_form_disc``."""
 
+from fractions import Fraction
+
+from hyperforms.hyperdet import det_rows
 from hyperforms.poly import MultiPoly
 
 
@@ -16,3 +19,15 @@ def sylvester_rows(avec, bvec, m: int, n: int):
     for shift in range(m):
         rows.append([zero] * shift + list(bvec) + [zero] * (size - shift - n - 1))
     return rows
+
+
+def sylvester_disc(f, xy, d):
+    """(-1)^(d(d-1)/2) * Res(df/dx, df/dy) / d^(d-2) for a binary form ``f``
+    of formal degree ``d`` whose variables include ``xy``, on the Sylvester
+    matrix: the independent oracle for the closed forms and the Bezout route."""
+    x, y = xy
+    avec = f.partial(x).binary_coefficients(xy, d - 1)
+    bvec = f.partial(y).binary_coefficients(xy, d - 1)
+    res = det_rows(sylvester_rows(avec, bvec, d - 1, d - 1))
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return (res * sign) / Fraction(d) ** (d - 2)

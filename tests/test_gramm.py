@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -283,14 +282,15 @@ def test_gramm_tensor_matches_per_entry_contraction(d, dim):
 
 
 def test_gramm_tensor_of_constants_maps_every_slot_on_values(monkeypatch):
-    # the values are read once and wrapped once, not once per slot
-    module = importlib.import_module("hyperforms.tensor")
-    read, scans = module.constant_values, []
-    monkeypatch.setattr(module, "constant_values", lambda polys: scans.append(1) or read(polys))
+    # no slot wraps the values in polynomials; each entry is wrapped once, when read
     form = rand_tensor(random.Random(43), (3, 3, 3))
     vecs = [[1, Fraction(1, 2), -2], [0, 3, 1]]
+    built, constant = [], MultiPoly.constant
+    monkeypatch.setattr(MultiPoly, "constant",
+                        staticmethod(lambda v, vs=(): built.append(v) or constant(v, vs)))
     got = gramm_tensor(form, vecs)
-    assert len(scans) == 1
+    assert not built and not any(type(x) is MultiPoly for x in got._items)
+    assert got.to_json() and len(built) == 8
     assert got.to_json() == reference_gramm_tensor(form, vecs).to_json()
 
 
@@ -308,6 +308,27 @@ def test_gramm_form_dependent_tuple():
     form = const_tensor((2, 2), [1, 2, 3, 4])
     v = gramm_form(form, [[1, 2], [2, 4]])
     assert v.base.is_zero()
+
+
+def test_skew_gramm_of_fewer_vectors_than_slots_is_a_zero_base():
+    # as for gramm_form; the component index is still checked
+    form = Tensor((2, 2), [1, 2, 3, 4], ("a",))
+    for k in (0, 1):
+        value = skew_gramm(form, [[1, 2]], k)
+        assert value == gramm_form(form, [[1, 2]]) and value.base.is_zero()
+        assert value.base.vars == ("a",) and value.exponent == Fraction(1, 2)
+    with pytest.raises(DomainError, match="component index must satisfy 0 <= k < 2, got 2"):
+        skew_gramm(form, [[1, 2]], 2)
+
+
+def test_gramm_tensor_takes_rational_vectors_only():
+    form = Tensor((2, 2), [1, 2, 3, 4])
+    got = gramm_tensor(form, [[True, Fraction(4, 2)], [Fraction(1, 2), 0]])
+    assert got._items == gramm_tensor(form, [[1, 2], [Fraction(1, 2), 0]])._items
+    assert got._items == [27, Fraction(7, 2), Fraction(5, 2), Fraction(1, 4)]
+    for bad in (0.5, zeta(6), "1", MultiPoly.constant(1)):
+        with pytest.raises(TypeError, match="not a rational scalar"):
+            gramm_tensor(form, [[1, bad]])
 
 
 def test_gramm_form_fewer_vectors_than_slots():

@@ -26,7 +26,7 @@ from hyperforms.scalars import Cyclotomic, zeta
 from hyperforms.tensor import Tensor
 
 from partials import derivative as iterated_derivative
-from sylvester import sylvester_rows
+from sylvester import sylvester_disc as _sylvester_disc
 
 XY = ("x", "y")
 
@@ -37,18 +37,6 @@ def P(text, variables=XY):
 
 def const_tensor(shape, values):
     return Tensor(shape, [MultiPoly.constant(v) for v in values])
-
-
-def _sylvester_disc(f, xy, d):
-    """(-1)^(d(d-1)/2) * Res(df/dx, df/dy) / d^(d-2) for a binary form ``f``
-    of formal degree ``d`` whose variables include ``xy``, on the Sylvester
-    matrix: the independent oracle for the closed forms and the Bezout route."""
-    x, y = xy
-    avec = f.partial(x).binary_coefficients(xy, d - 1)
-    bvec = f.partial(y).binary_coefficients(xy, d - 1)
-    res = det_rows(sylvester_rows(avec, bvec, d - 1, d - 1))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return (res * sign) / Fraction(d) ** (d - 2)
 
 
 def rand_tensor(rng, shape, bound=9):

@@ -8,7 +8,7 @@ import pytest
 import hyperforms
 from hyperforms.errors import DomainError
 from hyperforms.parser import parse_poly
-from hyperforms.poly import MultiPoly, constant_values
+from hyperforms.poly import MultiPoly, lift, lower
 from hyperforms.scalars import zeta
 
 from partials import derivative as iterated_derivative
@@ -328,15 +328,20 @@ def test_constructor_refuses_exponents_that_are_not_integers():
     assert str(p) == "3*x*y^2 + 1"
 
 
-def test_constant_values_reads_constants_only():
+def test_lower_reads_constants_only():
     xy = ("x", "y")
-    values = constant_values([MultiPoly.zero(xy), MultiPoly.constant(Fraction(6, 3), xy),
-                              MultiPoly.constant(Fraction(1, 2)), MultiPoly.constant(zeta(6), xy)])
-    assert values == [0, 2, Fraction(1, 2), zeta(6)]
-    assert [type(v) for v in values[:2]] == [int, int]
-    assert constant_values([]) == []
-    for polys in ([P("x")], [MultiPoly.constant(1), P("x + 1")], [P("x*y + x")]):
-        assert constant_values(polys) is None
+    items = [lower(p) for p in (MultiPoly.zero(xy), MultiPoly.constant(Fraction(6, 3), xy),
+                                MultiPoly.constant(Fraction(1, 2)), MultiPoly.constant(zeta(6), xy))]
+    assert items == [0, 2, Fraction(1, 2), zeta(6)]
+    assert [type(v) for v in items[:2]] == [int, int]
+    scalars = [lower(v) for v in (True, Fraction(4, 2), Fraction(1, 2), zeta(6))]
+    assert scalars == [1, 2, Fraction(1, 2), zeta(6)] and [type(v) for v in scalars[:2]] == [int, int]
+    for p in (P("x"), MultiPoly.constant(1) + P("x"), P("x*y + x")):
+        assert lower(p) is p
+    with pytest.raises(TypeError, match="unsupported coefficient type: str"):
+        lower("x")
+    for x in items + [P("x*y + x")]:  # lift undoes lower, on the given variables
+        assert lift(x, ("y", "x", "a")).vars == ("y", "x", "a") and lower(lift(x, xy)) == x
 
 
 def test_no_stored_zero_coefficients():
@@ -366,4 +371,16 @@ def test_term_format_stays_private_to_poly():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in ("terms", "_raw"):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, found
+
+
+def test_tensor_items_stay_private_to_the_tensor_kernels():
+    # a tensor's items (a constant held as its value) are read by the tensor and the
+    # kernels on it only, so the decision of how to store a constant cannot spread again
+    src = Path(hyperforms.__file__).parent
+    readers = {"tensor.py", "hyperdet.py", "gramm.py", "polarisation.py"}
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name not in readers
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "_items"]
     assert not found, found

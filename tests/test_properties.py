@@ -5,7 +5,8 @@ axioms of ``Cyclotomic`` and the print/parse round trip of ``zeta<m>``
 coefficients, the parser against its per-token oracle on valid and malformed
 strings, contraction against the multiply route, resultants of any two
 degrees, hyperdeterminants against the contraction route, the closed-form
-pencil of two 2x2 slices against interpolation, skew projections
+pencil of two 2x2 slices against interpolation, tensors, matrices and binary
+forms that mix constant and symbolic entries against all-polynomial oracles, skew projections
 of numeric tensors against the polynomial route (also with a fresh variable
 substituted away, types and variables included), hyperresultants of
 random systems against the format rule, and CLI argvs that may only end in
@@ -33,7 +34,8 @@ from hyperforms.classical import sylvester_resultant  # noqa: E402
 from hyperforms.cli import run_command  # noqa: E402
 from hyperforms.errors import DomainError, ParseError, UnsupportedFormatError  # noqa: E402
 from hyperforms.gramm import project_k  # noqa: E402
-from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet, hyperdet_degree  # noqa: E402
+from hyperforms.hyperdet import (  # noqa: E402
+    binary_form_disc, cayley_hyperdet_222, det_rows, hyperdet, hyperdet_degree)
 from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.polarisation import hyperresultant  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
@@ -44,7 +46,7 @@ from parser_oracle import parse_poly as oracle_parse  # noqa: E402
 from partials import derivative as iterated_derivative  # noqa: E402
 from schlaefli import contraction_hyperdet, pencil_by_interpolation  # noqa: E402
 from substitute import subs  # noqa: E402
-from sylvester import sylvester_rows  # noqa: E402
+from sylvester import sylvester_disc, sylvester_rows  # noqa: E402
 
 bounded = settings(max_examples=60, deadline=None, database=None)
 
@@ -175,6 +177,57 @@ def format_tensors(draw):
 def test_hyperdet_matches_contraction_route(t):
     got, oracle = hyperdet(t), contraction_hyperdet(t)
     assert got.vars == oracle.vars == t.vars and got == oracle
+
+
+# a constant, or one time in three a polynomial in s and t (itself constant at times)
+_mixed_entry = st.one_of(st.just(0), rationals, st.builds(
+    lambda a, b, c: MultiPoly(_ST, {(1, 0): a, (0, 1): b, (0, 0): c}), ints, ints, ints))
+
+
+@st.composite
+def mixed_tensors(draw):
+    shape = draw(st.sampled_from(_FORMATS + [(2, 2), (3, 3), (4, 4)]))
+    size = math.prod(shape)
+    return Tensor(shape, draw(st.lists(_mixed_entry, min_size=size, max_size=size)), _ST)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(mixed_tensors())
+def test_mixed_tensors_match_all_polynomial_oracles(t):
+    got = hyperdet(t)
+    if t.ndim == 2:  # every entry gains u, so the oracle eliminates polynomials only
+        u, n = MultiPoly.variable("u"), t.shape[0]
+        rows = [t.entries[i:i + n] for i in range(0, n * n, n)]
+        oracle = subs(det_rows([[p + u for p in row] for row in rows]), {"u": 0})
+        assert det_rows(rows) == got
+    else:
+        oracle = contraction_hyperdet(t)
+    if t.shape == (2, 2, 2):
+        assert cayley_hyperdet_222(t) == oracle
+    assert got.vars == t.vars and got == oracle
+
+
+def _binary(cs):
+    # sum_i c_i x^(d-i) y^i on (s, t, x, y), each c_i a number or a polynomial in s and t
+    d, terms = len(cs) - 1, {}
+    for i, c in enumerate(cs):
+        for e, v in (c.terms.items() if type(c) is MultiPoly else [((0, 0), c)]):
+            terms[e + (d - i, i)] = v
+    return MultiPoly(_ST + ("x", "y"), terms)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.integers(5, 6).flatmap(lambda d: st.tuples(
+    st.lists(_mixed_entry, min_size=d + 1, max_size=d + 1),
+    st.integers(1, 4).flatmap(lambda n: st.lists(_mixed_entry, min_size=n + 1, max_size=n + 1)))))
+def test_mixed_binary_forms_match_sylvester(case):
+    f, g = map(_binary, case)
+    d, n = len(case[0]) - 1, len(case[1]) - 1
+    disc = binary_form_disc(f, ("x", "y"), degree=d)
+    assert disc.vars == _ST and disc == sylvester_disc(f, ("x", "y"), d)
+    assume(not f.is_zero() and not g.is_zero())
+    avec, bvec = f.binary_coefficients(("x", "y")), g.binary_coefficients(("x", "y"))
+    assert str(sylvester_resultant(f, g)) == str(det_rows(sylvester_rows(avec, bvec, d, n)))
 
 
 @st.composite
@@ -477,7 +530,7 @@ def test_projection_values_route_matches_substituted_polynomial_route(case):
     forced = [MultiPoly.constant(v, ("a", "b")) for v in values]
     forced[pos] = forced[pos] + c * MultiPoly.variable("b", ("a", "b"))
     forced = Tensor(shape, forced)
-    assert forced._constants() is None  # so its projections run the polynomial route
+    assert type(forced._items[pos]) is MultiPoly  # so its projections run the polynomial route
     for k in range(math.factorial(len(shape))):
         want = Tensor(shape, [subs(p, {"b": 0}) for p in project_k(forced, k).entries], ("a",))
         assert _typed_entries(project_k(t, k)) == _typed_entries(want)

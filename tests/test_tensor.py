@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from hyperforms.errors import DomainError
-from hyperforms.gramm import project_k
+from hyperforms.gramm import gramm_tensor, project_k
 from hyperforms.parser import parse_poly
+from hyperforms.polarisation import jacobi_form, jacobi_sequence, polarize
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import Cyclotomic, zeta
 from hyperforms.tensor import Tensor, check_shape, fresh_names, multi_indices
@@ -279,7 +280,7 @@ def test_tensors_of_constants_build_entries_on_first_read(monkeypatch):
     assert not built
     assert acted.entries == want.entries
     for got in [t, acted] + parts:
-        assert all(map(_canonical, got._constants()))
+        assert all(map(_canonical, got._items))
         entries = got.entries
         assert got.entries is entries
         for p in entries:
@@ -300,6 +301,35 @@ def test_value_backed_and_entry_backed_tensors_compare_by_value():
     assert t != Tensor((4,), values)
     doubled = t + const_tensor((2, 2), values)
     assert doubled == const_tensor((2, 2), [0, 4, 1, 2 * zeta(6)])
-    assert [type(v) for v in doubled._constants()] == [int, int, int, Cyclotomic]
-    assert (t - t)._constants() == [0] * 4 and all(type(v) is int for v in (t - t)._constants())
+    assert [type(v) for v in doubled._items] == [int, int, int, Cyclotomic]
+    assert (t - t)._items == [0] * 4 and all(type(v) is int for v in (t - t)._items)
     assert t.transpose((1, 0)) == const_tensor((2, 2), [0, Fraction(1, 2), 2, zeta(6)])
+
+
+def test_every_tensor_holds_canonical_values_and_non_constant_polynomials():
+    ab = ("a", "b")
+    a, b = MultiPoly.variable("a", ab), MultiPoly.variable("b", ab)
+    # the orbit of (0, 0, 1) sums to a constant polynomial, -a + a + 1
+    mixed = Tensor((2, 2, 2), [a, -a, a, Fraction(4, 2), a * 2 - a - a + 1, b - b, True,
+                               MultiPoly.constant(Fraction(1, 2), ("c",))], ab)
+    numeric = Tensor((2, 2, 2), [1, Fraction(1, 2), zeta(6), 0, 3, -1, 2, 1 - zeta(6)])
+    f, g = parse_poly("x^3 + a*x*y^2 - 2*y^3", ("x", "y", "a")), parse_poly("x^3", ("x", "y"))
+    made = [mixed, numeric, Tensor((2,), [MultiPoly.constant(3, ("c",)), a - a]),
+            Tensor((3,), [MultiPoly.variable("b"), a, b - b]), Tensor((1,), [a], ("c", "b", "a")),
+            mixed + mixed, mixed - mixed, numeric + numeric, numeric - numeric, mixed - numeric,
+            mixed.transpose((2, 0, 1)), numeric.transpose((1, 0, 2)),
+            numeric.apply_gl(0, [[1, 2], [Fraction(1, 2), True]]),
+            mixed.apply_gl(1, [[1, -1], [1, -1]]), numeric.apply_gl(2, [[a, 1], [0, a - 1]]),
+            numeric.apply_gl(2, [[MultiPoly.constant(1, ("c",)), 0], [0, 1]]),
+            gramm_tensor(numeric, [[1, 2], [Fraction(1, 3), 0]]), gramm_tensor(mixed, [[1, 1]]),
+            polarize(f, (1, 1), ("x", "y")), jacobi_form([f, g], (2,), ("x", "y")),
+            jacobi_sequence(f, 3, ("x", "y")), jacobi_sequence(f, 4, ("x", "y")),
+            mixed.contract_axis(1, ("u0", "u1")), numeric.contract_axis(0, ("u0", "u1"))]
+    made += [project_k(t, k) for t in (numeric, mixed) for k in range(2)]  # both routes
+    assert any(type(x) is MultiPoly for x in mixed._items)
+    for t in made:
+        for x in t._items:
+            if type(x) is MultiPoly:
+                assert x.vars == t.vars and x.total_degree() > 0, (x, t)
+            else:
+                assert _canonical(x), (x, t)
