@@ -171,17 +171,23 @@ def projector_trace(d: int, dim: int, k: int) -> Fraction:
 # -- Gramm forms -----------------------------------------------------------------
 
 
-def gramm_tensor(form: Tensor, vectors) -> Tensor:
-    """Pair a d-linear form with an m-tuple: entry (i_1, ..., i_d) is the
-    full contraction of the form against the selected vectors, computed by
-    contracting one slot at a time with the whole tuple."""
-    d, dim = _hypercubic_dims(form)
+def _vectors(vectors, dim: int) -> list:
+    """The vectors as lists of rationals, refused unless there is one at least and
+    each has dimension ``dim``."""
     vecs = [[as_rational(c) for c in v] for v in vectors]
     if any(len(v) != dim for v in vecs):
         raise DomainError(f"vectors must have dimension {dim}")
     if not vecs:
         raise DomainError("need at least one vector")
-    return form._act(range(d), vecs)
+    return vecs
+
+
+def gramm_tensor(form: Tensor, vectors) -> Tensor:
+    """Pair a d-linear form with an m-tuple: entry (i_1, ..., i_d) is the
+    full contraction of the form against the selected vectors, computed by
+    contracting one slot at a time with the whole tuple."""
+    d, dim = _hypercubic_dims(form)
+    return form._act(range(d), _vectors(vectors, dim))
 
 
 class GrammValue(namedtuple("GrammValue", ("base", "exponent"))):
@@ -209,10 +215,10 @@ def _exponent(d: int, m: int) -> Fraction:
 
 
 def _gramm(form: Tensor, vectors, k=None) -> GrammValue:
-    d, _ = _hypercubic_dims(form)
+    d, dim = _hypercubic_dims(form)
     if k is not None:
         k = _component(d, k)
-    vecs = list(vectors)
+    vecs = _vectors(vectors, dim)
     exponent = _exponent(d, len(vecs))
     if len(vecs) < d:
         return GrammValue(MultiPoly.zero(form.vars), exponent)
@@ -223,8 +229,8 @@ def _gramm(form: Tensor, vectors, k=None) -> GrammValue:
 def gramm_form(form: Tensor, vectors) -> GrammValue:
     """Hyperdeterminant of the Gramm tensor with its homogenising exponent.
 
-    Fewer vectors than slots gives the identically-zero form, recorded as a
-    zero base without computing a hyperdeterminant.
+    The vectors are checked first; fewer of them than slots gives the identically-zero
+    form, recorded as a zero base without computing a hyperdeterminant.
     """
     return _gramm(form, vectors)
 

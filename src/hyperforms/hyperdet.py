@@ -118,18 +118,16 @@ def _poly_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def det_rows(rows) -> MultiPoly:
-    """Determinant of a square list-of-lists of polynomials, on the union of their
-    variables; the empty matrix gives 1.  A matrix of constants is eliminated on their
-    values (``int``, ``Fraction``, ``Cyclotomic``); otherwise every entry is a
-    polynomial, divided exactly, so it never leaves the ring.
+    """Determinant of a square list-of-lists of polynomials or scalars, on the union of
+    the polynomials' variables; the empty matrix gives 1.  A matrix of constants is
+    eliminated on their values (``int``, ``Fraction``, ``Cyclotomic``); otherwise every
+    entry is a polynomial, divided exactly, so it never leaves the ring.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DomainError("determinant needs a square matrix")
-    merged = merge_vars(p.vars for row in rows for p in row)
-    if n == 0:
-        return MultiPoly.constant(1)
-    return lift(_det([list(map(lower, row)) for row in rows]), merged)
+    merged = merge_vars(p.vars for row in rows for p in row if type(p) is MultiPoly)
+    return lift(_det([list(map(lower, row)) for row in rows]) if n else 1, merged)
 
 
 def det_square(t: Tensor) -> MultiPoly:

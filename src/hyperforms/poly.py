@@ -250,18 +250,7 @@ class MultiPoly:
 
     def __sub__(self, other):
         o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        p, q = self._aligned(o)
-        out = dict(p.terms)
-        for e, c in q.terms.items():
-            s = out.get(e)
-            s = -c if s is None else s - c
-            if s:
-                out[e] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
-            else:
-                del out[e]
-        return MultiPoly._raw(p.vars, out)
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         o = self._promote(other)
@@ -290,20 +279,6 @@ class MultiPoly:
         for p, q in zip(left, right, strict=True):
             _addmul(out, (p if p.vars == vs else p.with_vars(vs)).terms,
                     (q if q.vars == vs else q.with_vars(vs)).terms)
-        return MultiPoly._raw(vs, out)
-
-    @staticmethod
-    def pencil(variables, parts) -> "MultiPoly":
-        """The sum of u_j * parts[j], the u_j being the trailing len(parts) names of
-        ``variables``, which no part uses: each u_j is fresh, so its product only appends
-        a unit exponent to the keys of parts[j], and no two j share a key."""
-        vs, n = tuple(variables), len(parts)
-        base = vs[:len(vs) - n]
-        out = {}
-        for j, p in enumerate(parts):
-            unit = (0,) * j + (1,) + (0,) * (n - 1 - j)
-            for e, c in (p if p.vars == base else p.with_vars(base)).terms.items():
-                out[e + unit] = c
         return MultiPoly._raw(vs, out)
 
     def __truediv__(self, scalar):

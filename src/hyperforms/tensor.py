@@ -17,7 +17,7 @@ from functools import reduce
 from operator import add, mul
 
 from .errors import DomainError
-from .poly import MultiPoly, lift, lower, merge_vars
+from .poly import MultiPoly, form_vars, lift, lower, merge_vars
 
 
 _MAX_ENTRIES = 8 ** 4  # every entry is stored, so bound the count before building any
@@ -188,24 +188,20 @@ class Tensor:
     def contract_axis(self, axis: int, var_names) -> "Tensor":
         """Replace one axis by a linear form in fresh variables.
 
-        Entry at the reduced index is sum_j u_j * t[..., j, ...]; the result
-        is linear in the new variables.  As the u_j are fresh, this is a
-        re-keying of the entries' terms (``MultiPoly.pencil``), not a product.
+        Entry at the reduced index is sum_j u_j * t[..., j, ...]: the slot action of
+        the row (u_j), with the length-1 axis it leaves dropped.  The result is
+        linear in the new variables, which follow ``vars``.
         """
         if not 0 <= axis < self.ndim:
             raise DomainError(f"axis {axis} out of range for shape {self.shape}")
-        names = tuple(var_names)
+        names = form_vars(var_names)
         if len(names) != self.shape[axis]:
             raise DomainError(
                 f"need {self.shape[axis]} contraction variables, got {len(names)}")
         if clash := set(names) & set(self.vars):
             raise DomainError(f"contraction variables collide with {sorted(clash)}")
-        vs = self.vars + names
-        inner = math.prod(self.shape[axis + 1:])
-        step = self.shape[axis] * inner
-        entries = [lower(MultiPoly.pencil(vs, self.entries[start + k:start + step:inner]))
-                   for start in range(0, len(self.entries), step) for k in range(inner)]
-        return Tensor._built(self.shape[:axis] + self.shape[axis + 1:], entries, vs)
+        t = self._act((axis,), [[MultiPoly.variable(u, names) for u in names]])
+        return Tensor._built(self.shape[:axis] + self.shape[axis + 1:], t._items, t.vars)
 
     def apply_gl(self, axis: int, g) -> "Tensor":
         """Act on one slot: new[..., i, ...] = sum_j g[i][j] * old[..., j, ...]."""

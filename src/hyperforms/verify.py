@@ -132,7 +132,7 @@ def _random_matrix(rng, n: int, bound: int):
     """An invertible matrix of Fractions and its determinant."""
     def draw():
         g = [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
-        det = det_rows([[MultiPoly.constant(c) for c in row] for row in g]).as_scalar()
+        det = det_rows(g).as_scalar()
         return (g, det) if det else None
     return _reject_degenerate(draw, f"invertible {n}x{n} matrix")
 

@@ -265,6 +265,16 @@ def test_gramm_cli(capsys, tmp_path):
         assert (code, out) == (0, f"base = {base}\nexponent = 1/2\n")
 
 
+def test_gramm_checks_the_vectors_before_a_zero_base_cli(capsys, tmp_path):
+    path = tmp_path / "f33.json"
+    path.write_text(Tensor((3, 3), range(1, 10)).to_json())
+    for vectors in ("1,2", "1,2,3;4,5"):
+        code, out, err = run(capsys, "gramm", "--form", str(path), "--vectors", vectors)
+        assert (code, out) == (3, "") and "vectors must have dimension 3" in err
+    code, out, _ = run(capsys, "gramm", "--form", str(path), "--vectors", "1,2,3")
+    assert (code, out) == (0, "base = 0\nexponent = 1/2\n")
+
+
 def test_gramm_skew_cli(capsys, tmp_path):
     path = tmp_path / "form.json"
     path.write_text(json.dumps(

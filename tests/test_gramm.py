@@ -331,6 +331,19 @@ def test_gramm_tensor_takes_rational_vectors_only():
             gramm_tensor(form, [[1, bad]])
 
 
+def test_gramm_checks_the_vectors_before_a_zero_base():
+    form = Tensor((3, 3), range(1, 10))
+    for gramm in (gramm_form, lambda f, vs: skew_gramm(f, vs, 0)):
+        with pytest.raises(DomainError, match="vectors must have dimension 3"):
+            gramm(form, [[1, 2]])
+        with pytest.raises(TypeError, match="not a rational scalar"):
+            gramm(form, [["a", "b", "c"]])
+        with pytest.raises(DomainError, match="need at least one vector"):
+            gramm(form, [])
+        assert gramm(form, [[1, 2, 3]]).base.is_zero()
+    assert skew_gramm(Tensor((2, 2), [1, 2, 3, 4]), [[1, 2]], 0).base.is_zero()
+
+
 def test_gramm_form_fewer_vectors_than_slots():
     rng = random.Random(101)
     form = rand_tensor(rng, (2, 2, 2))

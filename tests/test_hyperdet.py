@@ -201,7 +201,7 @@ def test_numeric_matrices_and_forms_never_reach_polynomial_arithmetic(monkeypatc
     def refuse(*args):
         raise AssertionError("polynomial arithmetic on a numeric input")
 
-    for name in ("dot", "exact_div", "__mul__", "__rmul__", "__truediv__", "pencil"):
+    for name in ("dot", "exact_div", "__mul__", "__rmul__", "__truediv__"):
         monkeypatch.setattr(MultiPoly, name, refuse)
     monkeypatch.setattr(Tensor, "contract_axis", refuse)
     assert [fn(arg) for fn, arg in calls] == expected
@@ -218,6 +218,23 @@ def test_numeric_results_keep_the_variables_of_the_polynomial_route():
     for degree in (2, 3, 4, 5):
         f = MultiPoly(("c", "x", "y"), {(0, degree, 0): 1, (0, 0, degree): 1})
         assert binary_form_disc(f).vars == ("c",)
+
+
+def test_det_rows_takes_items_as_tensors_do():
+    # scalars stand for constant polynomials; only polynomials bring variables
+    a = P("a", ("a",))
+    cases = [[[1, 2], [3, 4]], [[Fraction(1, 2), 2], [3, Fraction(4, 3)]],
+             [[zeta(6), 1], [2, zeta(6)]], [[True, False], [True, True]], [[a, 2], [3, 4]],
+             [[MultiPoly.constant(2, ("b",)), 1], [Fraction(3), 4]]]
+    for rows in cases:
+        want = det_rows([[x if type(x) is MultiPoly else MultiPoly.constant(x) for x in row]
+                         for row in rows])
+        got = det_rows(rows)
+        assert (got.vars, got.terms) == (want.vars, want.terms), rows
+    assert det_rows([[1, 2], [3, 4]]) == -2 and det_rows([[1, 2], [3, 4]]).vars == ()
+    got = det_rows([[a, 2], [3, 4]])
+    assert got.vars == ("a",) and got == P("4*a - 6", ("a",))
+    assert det_rows([]) == 1 and det_rows([]).vars == ()
 
 
 def test_det_rejects_nonsquare_and_large():

@@ -10,6 +10,7 @@ from hyperforms.errors import DomainError
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly, lift, lower
 from hyperforms.scalars import zeta
+from hyperforms.tensor import Tensor
 
 from partials import derivative as iterated_derivative
 from substitute import subs
@@ -271,6 +272,11 @@ def test_scalar_minus_polynomial():
     assert (1 - x).vars == XY
     with pytest.raises(TypeError, match="for -: 'float' and 'MultiPoly'"):
         1.5 - x
+    # subtraction adds the negation, so mixed roots of unity are refused as by +
+    w = MultiPoly.constant(zeta(6), XY)
+    for bad in (lambda: w - zeta(4), lambda: w + (-1) * zeta(4)):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders 6 and 4"):
+            bad()
 
 
 # -- variable plumbing ---------------------------------------------------------------
@@ -303,14 +309,38 @@ def test_with_vars_refuses_to_drop_a_used_trailing_variable():
 
 
 def test_pencil_realigns_parts_on_other_variables():
-    vs = ("x", "y", "u0", "u1")
-    p, q = P("x^2 + 3*y", ("y", "x")), P("2*x - 1/2", ("x",))
-    got = MultiPoly.pencil(vs, [p, q])
-    oracle = MultiPoly.variable("u0", vs) * p + MultiPoly.variable("u1", vs) * q
-    assert got.vars == vs and got.terms == oracle.with_vars(vs).terms
-    assert got == P("u0*x^2 + 3*u0*y + 2*u1*x - 1/2*u1", vs)
-    with pytest.raises(ValueError, match="u1"):  # a part may not use its own pencil variables
-        MultiPoly.pencil(vs, [P("u1", ("x", "u1")), q])
+    # contracting one axis with (u0, u1) builds the pencil u0*A_0 + u1*A_1 on vars + names,
+    # whatever variable order the parts were given on
+    vs = ("y", "x")
+    p, q = P("x^2 + 3*y", ("x", "y")), P("2*x - 1/2", ("x",))
+    got = Tensor((2,), [p, q], vs).contract_axis(0, ("u0", "u1"))
+    oracle = MultiPoly.variable("u0") * p + MultiPoly.variable("u1") * q
+    assert got.shape == () and got.vars == vs + ("u0", "u1")
+    assert got[()].terms == oracle.with_vars(got.vars).terms
+    assert got[()] == P("u0*x^2 + 3*u0*y + 2*u1*x - 1/2*u1", got.vars)
+    with pytest.raises(DomainError, match=r"collide with \['x'\]"):  # a name already in use
+        Tensor((2,), [p, q], vs).contract_axis(0, ("x", "u1"))
+    with pytest.raises(DomainError, match="must be distinct"):
+        Tensor((2,), [p, q], vs).contract_axis(0, ("u0", "u0"))
+
+
+def test_every_product_of_polynomials_runs_in_addmul(monkeypatch):
+    # one multiply-accumulate kernel: with it refused, every symbolic product fails
+    x, y, s = P("x"), P("y"), P("x + y")
+    t = Tensor((2, 2), [x, 1, y, s])
+    calls = [lambda: s * x, lambda: s ** 2, lambda: MultiPoly.dot(XY, [s], [y]),
+             lambda: P("(x + y)*(x - y)"), lambda: t.contract_axis(0, ("u0", "u1")),
+             lambda: t.apply_gl(1, [[x, 1], [0, y]])]
+    for call in calls:
+        call()
+
+    def refuse(*args):
+        raise RuntimeError("product outside the kernel")
+
+    monkeypatch.setattr(hyperforms.poly, "_addmul", refuse)
+    for call in calls:
+        with pytest.raises(RuntimeError, match="outside the kernel"):
+            call()
 
 
 # -- canonical form ------------------------------------------------------------------

@@ -3,9 +3,9 @@ derivatives against iterated partials, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
 axioms of ``Cyclotomic`` and the print/parse round trip of ``zeta<m>``
 coefficients, the parser against its per-token oracle on valid and malformed
-strings, contraction against the multiply route, resultants of any two
-degrees, hyperdeterminants against the contraction route, the closed-form
-pencil of two 2x2 slices against interpolation, tensors, matrices and binary
+strings, contraction against the multiply route and the pencil built by hand,
+resultants of any two degrees, hyperdeterminants against the contraction route,
+the closed-form pencil of two 2x2 slices against interpolation, tensors, matrices and binary
 forms that mix constant and symbolic entries against all-polynomial oracles, skew projections
 of numeric tensors against the polynomial route (also with a fresh variable
 substituted away, types and variables included), hyperresultants of
@@ -76,9 +76,13 @@ def test_multipoly_ring_axioms(p, q, r):
 
 
 @bounded
-@given(polys(), polys())
-def test_sub_is_add_of_negation(p, q):
+@given(polys(), polys(), scalars)
+def test_sub_is_add_of_negation(p, q, c):
+    # operands on other variable orders, and a scalar on either side
     assert p - q == p + (-q)
+    for a, b in ((p, q), (p, q.with_vars(q.vars[::-1])), (p, c), (c, p)):
+        got, want = a - b, a + (-1) * b
+        assert (got.vars, got.terms) == (want.vars, want.terms)
 
 
 _XY_WITH_COEFFS = st.sampled_from([("x", "y"), ("a", "x", "y"), ("y", "b", "x")])
@@ -145,6 +149,28 @@ def test_contract_axis_matches_multiply_route(t):
 
 
 _FORMATS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)]
+
+
+@st.composite
+def mixed_format_tensors(draw):
+    shape = draw(st.sampled_from(_FORMATS[:4] + [(3, 3)]))
+    entry = st.one_of(st.just(0), scalars, polys(("a", "b")), polys(("b",)))
+    entries = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return Tensor(shape, entries, draw(st.sampled_from([None, ("b", "a")])))
+
+
+@bounded
+@given(mixed_format_tensors())
+def test_contract_axis_is_the_pencil_built_by_hand(t):
+    for axis in range(t.ndim):
+        u = fresh_names(t.vars, t.shape[axis])
+        got = t.contract_axis(axis, u)
+        assert got.shape == t.shape[:axis] + t.shape[axis + 1:] and got.vars == t.vars + u
+        for idx in got.indices():
+            want = MultiPoly.zero()
+            for j, uj in enumerate(u):
+                want = want + MultiPoly.variable(uj) * t[idx[:axis] + (j,) + idx[axis:]]
+            assert got[idx].terms == want.with_vars(got.vars).terms
 _ST = ("s", "t")
 
 
