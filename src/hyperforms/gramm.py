@@ -222,7 +222,7 @@ def _gramm(form: Tensor, vectors, k=None) -> GrammValue:
     exponent = _exponent(d, len(vecs))
     if len(vecs) < d:
         return GrammValue(MultiPoly.zero(form.vars), exponent)
-    t = gramm_tensor(form, vecs)
+    t = form._act(range(d), vecs)
     return GrammValue(hyperdet(t if k is None else project_k(t, k)), exponent)
 
 

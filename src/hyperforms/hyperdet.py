@@ -1,6 +1,7 @@
 """Discriminants of multilinear forms on the supported small formats.
 
-Square matrices go through exact fraction-free elimination.  The genuinely
+Square matrices go through exact fraction-free elimination, entry by entry on
+items, so constants and polynomials mix in one matrix.  The genuinely
 multidimensional formats (2x2x2, 2x2x3 in any axis order, 2x2x2x2) are
 computed by one recursive Schlaefli step: the hyperdeterminant F(u) of the
 pencil sum_j u_j * A_j of the slices along the longest axis (a determinant,
@@ -69,15 +70,15 @@ def hyperdet_degree(shape: tuple[int, ...]) -> int:
 # -- exact determinants ------------------------------------------------------
 
 
-def _eliminate(m, cross, divide):
-    """Determinant of a nonempty square list-of-lists ``m`` (overwritten) over an
-    integral domain with cross(a, b, c, d) = a*b - c*d and exact division ``divide``:
-    cofactors for n == 3, else Bareiss elimination, which for n <= 2 divides nothing."""
+def _det(m):
+    """Determinant of a nonempty square list-of-lists ``m`` (overwritten) of items, mixed
+    freely: cofactors for n == 3, else Bareiss elimination, entry by entry on the items,
+    which for n <= 2 divides nothing.  A zero column gives 0."""
     n = len(m)
     if n == 3:
-        return (m[0][0] * cross(m[1][1], m[2][2], m[1][2], m[2][1])
-                - m[0][1] * cross(m[1][0], m[2][2], m[1][2], m[2][0])
-                + m[0][2] * cross(m[1][0], m[2][1], m[1][1], m[2][0]))
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     sign, prev = 1, None
     for k in range(n - 1):
         if not m[k][k]:
@@ -87,31 +88,21 @@ def _eliminate(m, cross, divide):
                     sign = -sign
                     break
             else:
-                return m[k][k]  # a zero column; the zero pivot is the ring's zero
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                elt = cross(m[k][k], m[i][j], m[i][k], m[k][j])
-                m[i][j] = elt if prev is None else divide(elt, prev)
+                elt = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = elt if prev is None else _quotient(elt, prev)
         prev = m[k][k]
     return m[-1][-1] if sign == 1 else -m[-1][-1]
 
 
-def _cross(a, b, c, d):
-    return a * b - c * d
-
-
-def _det(rows):
-    """Determinant of a nonempty square list-of-lists of items, eliminated as values, or
-    as polynomials on the union of their variables when an item is one."""
-    if not (polys := [x.vars for row in rows for x in row if type(x) is MultiPoly]):
-        return _eliminate(rows, _cross, exact_quotient)
-    vs = merge_vars(polys)
-    return _eliminate([[lift(x, vs) for x in row] for row in rows],
-                      lambda a, b, c, d: MultiPoly.dot(vs, (a, c), (b, -d)), _poly_quotient)
-
-
-def _poly_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    quot = a.exact_div(b)
+def _quotient(a, b):
+    """The exact quotient a / b of items: by a value through ``exact_quotient``, by a
+    polynomial through ``exact_div``, a value ``a`` lifted onto b's variables first."""
+    if type(b) is not MultiPoly:
+        return exact_quotient(a, b)
+    quot = (a if type(a) is MultiPoly else lift(a, b.vars)).exact_div(b)
     if quot is None:  # cannot happen for true minors
         raise ArithmeticError("fraction-free elimination lost exactness")
     return quot
@@ -119,9 +110,9 @@ def _poly_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 def det_rows(rows) -> MultiPoly:
     """Determinant of a square list-of-lists of polynomials or scalars, on the union of
-    the polynomials' variables; the empty matrix gives 1.  A matrix of constants is
-    eliminated on their values (``int``, ``Fraction``, ``Cyclotomic``); otherwise every
-    entry is a polynomial, divided exactly, so it never leaves the ring.
+    the polynomials' variables; the empty matrix gives 1.  Elimination runs entry by entry
+    on items: a constant as its value (``int``, ``Fraction``, ``Cyclotomic``), anything
+    else as a polynomial, and every division is exact, so it never leaves the ring.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):

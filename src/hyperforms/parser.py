@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add as _add
 
 from .errors import ParseError
-from .poly import MultiPoly
+from .poly import MultiPoly, distinct_vars
 from .scalars import MAX_ORDER, zeta
 
 _TOKEN = re.compile(
@@ -70,9 +70,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
-        self.vars = tuple(variables)
-        if len(set(self.vars)) != len(self.vars):
-            raise ValueError(f"duplicate variable names in {self.vars}")
+        self.vars = distinct_vars(variables)
         for v in self.vars:
             if _ZETA.match(v):
                 raise ValueError(f"variable name {v!r} is reserved for roots of unity")

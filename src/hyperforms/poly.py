@@ -30,6 +30,13 @@ def merge_vars(tuples) -> tuple[str, ...]:
     return tuple(dict.fromkeys(v for vs in tuples for v in vs))
 
 
+def distinct_vars(names) -> tuple[str, ...]:
+    """Variable names as a tuple, refused when a name repeats."""
+    if len(set(vs := tuple(names))) != len(vs):
+        raise ValueError(f"duplicate variable names in {vs}")
+    return vs
+
+
 def form_vars(names) -> tuple[str, ...]:
     """Form variables as a tuple, refused when a name repeats."""
     if len(set(vs := tuple(names))) != len(vs):
@@ -90,9 +97,7 @@ class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms):
-        vs = tuple(variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate variable names in {vs}")
+        vs = distinct_vars(variables)
         tidy = {}
         n = len(vs)
         for exps, c in terms.items():
@@ -123,17 +128,17 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, variables=()) -> "MultiPoly":
-        return cls._raw(tuple(variables), {})
+        return cls._raw(distinct_vars(variables), {})
 
     @classmethod
     def constant(cls, value, variables=()) -> "MultiPoly":
-        vs = tuple(variables)
+        vs = distinct_vars(variables)
         c = _coerce_coeff(value)
         return cls._raw(vs, {(0,) * len(vs): c} if c else {})
 
     @classmethod
     def variable(cls, name: str, variables=None) -> "MultiPoly":
-        vs = tuple(variables) if variables is not None else (name,)
+        vs = distinct_vars(variables) if variables is not None else (name,)
         exps = tuple(1 if v == name else 0 for v in vs)
         if name not in vs:
             raise ValueError(f"{name!r} not among variables {vs}")
@@ -356,11 +361,10 @@ class MultiPoly:
         qrest = [(e, c) for e, c in q.terms.items() if e != qlead]
         rem = dict(p.terms)
         quot = {}
-        heap = [(-sum(e), tuple(-x for x in e)) for e in rem]
+        heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
         heapq.heapify(heap)
         while heap:
-            _, ne = heapq.heappop(heap)
-            e = tuple(-x for x in ne)
+            e = heapq.heappop(heap)[2]
             c = rem.pop(e, None)
             if c is None:
                 continue
@@ -376,7 +380,7 @@ class MultiPoly:
                     v = -coef * qc
                     if v:
                         rem[te] = v
-                        heapq.heappush(heap, (-sum(te), tuple(-x for x in te)))
+                        heapq.heappush(heap, (-sum(te), tuple(-x for x in te), te))
                 else:
                     s = s - coef * qc
                     if s:

@@ -141,9 +141,7 @@ class Cyclotomic:
 
     def __sub__(self, other):
         o = self._embed(other)
-        if o is None:
-            return NotImplemented
-        return self._make(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
         return (-self) + other
@@ -188,8 +186,7 @@ class Cyclotomic:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        return inv * other
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         return power(self.inverse() if n < 0 else self, abs(n), Fraction(1))

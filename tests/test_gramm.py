@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from hyperforms import gramm
 from hyperforms.errors import DomainError, UnsupportedFormatError
 from hyperforms.gramm import (
     GrammValue,
@@ -319,6 +320,15 @@ def test_skew_gramm_of_fewer_vectors_than_slots_is_a_zero_base():
         assert value.base.vars == ("a",) and value.exponent == Fraction(1, 2)
     with pytest.raises(DomainError, match="component index must satisfy 0 <= k < 2, got 2"):
         skew_gramm(form, [[1, 2]], 2)
+
+
+def test_gramm_forms_check_their_vectors_once(monkeypatch):
+    calls, check = [], gramm._vectors
+    monkeypatch.setattr(gramm, "_vectors", lambda *a: calls.append(a) or check(*a))
+    form = const_tensor((2, 2), [1, 2, 3, 4])
+    assert gramm_form(form, [[1, 0], [0, 1]]).base == -2
+    assert skew_gramm(form, [[1, 0], [0, 1]], 1).base == Fraction(1, 4)
+    assert len(calls) == 2
 
 
 def test_gramm_tensor_takes_rational_vectors_only():

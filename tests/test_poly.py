@@ -343,6 +343,16 @@ def test_every_product_of_polynomials_runs_in_addmul(monkeypatch):
             call()
 
 
+def test_every_constructor_refuses_repeated_variable_names():
+    # a repeated name would make ``variable("u", ("u", "u"))`` the square u*u
+    for build in (lambda vs: MultiPoly(vs, {}), MultiPoly.zero,
+                  lambda vs: MultiPoly.constant(1, vs), lambda vs: MultiPoly.variable("u", vs),
+                  lambda vs: parse_poly("u", vs)):
+        with pytest.raises(ValueError, match=r"^duplicate variable names in \('u', 'u'\)$"):
+            build(("u", "u"))
+    assert MultiPoly.variable("u", ("u", "v")).total_degree() == 1
+
+
 # -- canonical form ------------------------------------------------------------------
 
 

@@ -1,12 +1,13 @@
 """Property tests: ring axioms, the multiply-accumulate kernel, one-pass
 derivatives against iterated partials, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
-axioms of ``Cyclotomic`` and the print/parse round trip of ``zeta<m>``
+axioms of ``Cyclotomic`` and its subtraction, the print/parse round trip of ``zeta<m>``
 coefficients, the parser against its per-token oracle on valid and malformed
 strings, contraction against the multiply route and the pencil built by hand,
 resultants of any two degrees, hyperdeterminants against the contraction route,
 the closed-form pencil of two 2x2 slices against interpolation, tensors, matrices and binary
-forms that mix constant and symbolic entries against all-polynomial oracles, skew projections
+forms that mix constant and symbolic entries against all-polynomial oracles, determinants of
+matrices of mixed items against a Leibniz expansion, skew projections
 of numeric tensors against the polynomial route (also with a fresh variable
 substituted away, types and variables included), hyperresultants of
 random systems against the format rule, and CLI argvs that may only end in
@@ -38,7 +39,7 @@ from hyperforms.hyperdet import (  # noqa: E402
     binary_form_disc, cayley_hyperdet_222, det_rows, hyperdet, hyperdet_degree)
 from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.polarisation import hyperresultant  # noqa: E402
-from hyperforms.poly import MultiPoly  # noqa: E402
+from hyperforms.poly import MultiPoly, merge_vars  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
 from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
 
@@ -256,6 +257,53 @@ def test_mixed_binary_forms_match_sylvester(case):
     assert str(sylvester_resultant(f, g)) == str(det_rows(sylvester_rows(avec, bvec, d, n)))
 
 
+# every kind of item det_rows eliminates: numbers, zeta6 values, and polynomials on
+# overlapping variable tuples in different orders, some of them constant or zero
+_det_entry = st.one_of(
+    st.just(0), ints, st.fractions(-9, 9, max_denominator=9),
+    st.builds(lambda a, b: a + b * zeta(6), ints, ints),
+    st.sampled_from([("a", "b"), ("b", "a"), ("c",), ("b", "c", "a")]).flatmap(
+        lambda vs: st.builds(MultiPoly, st.just(vs), st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * len(vs)), st.integers(-3, 3), max_size=3))))
+
+
+@st.composite
+def mixed_matrices(draw):
+    # one time in three a column is zero; zero entries elsewhere make zero pivots
+    n = draw(st.integers(0, 5))
+    rows = [draw(st.lists(_det_entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.integers(0, 2)) == 0:
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+def _leibniz(rows, vs):
+    """sum over permutations s of sign(s) * prod_i rows[i][s(i)], as a polynomial on ``vs``."""
+    total = MultiPoly.zero(vs)
+    for perm in itertools.permutations(range(len(rows))):
+        term = MultiPoly.constant((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)), vs)
+        for row, j in zip(rows, perm):
+            term = term * row[j]
+        total = total + term
+    return total
+
+
+_A = MultiPoly.variable("a")
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(mixed_matrices())
+@example([[_A, _A, 1, 0], [_A, _A, 0, 1], [1, 0, _A, 0], [0, 1, 0, _A]])  # second pivot a*a - a*a
+@example([[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]])  # a zero column after one step
+def test_det_rows_matches_leibniz_on_mixed_items(rows):
+    vs = merge_vars(p.vars for row in rows for p in row if type(p) is MultiPoly)
+    got, want = det_rows(rows), _leibniz(rows, vs)
+    assert got.vars == vs and got.terms == want.terms
+    assert {e: type(c) for e, c in got.terms.items()} == {e: type(c) for e, c in want.terms.items()}
+
+
 @st.composite
 def pencil_slices(draw):
     # the entries of a 2x2x2 tensor, whose slices along the last axis are the pair:
@@ -336,6 +384,19 @@ def test_cyclotomic_ring_axioms(xyz):
     assert x + y == y + x and x * y == y * x
     assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
+
+
+@bounded
+@given(orders.flatmap(lambda m: st.tuples(*[cyclotomics(m)] * 2)), rationals)
+@example((zeta(6), 1 + zeta(6)), Fraction(1, 2))  # the difference is the rational -1
+def test_cyclotomic_sub_is_add_of_negation(xy, r):
+    # against its own order, and with a rational on either side
+    x, y = xy
+    for a, b in ((x, y), (y, x), (x, r), (r, x)):
+        got, want = a - b, a + (-1) * b
+        assert type(got) is type(want) and got == want
+    if isinstance(x, Cyclotomic):
+        assert (r / x) * x == r
 
 
 @bounded

@@ -1,0 +1,69 @@
+"""Refusals of the library API that no other test reaches: each bad call raises
+its exception type with its one-line message, word for word."""
+
+import pytest
+
+from hyperforms.errors import DomainError
+from hyperforms.hyperdet import cayley_hyperdet_222, det_rows
+from hyperforms.polarisation import hyperresultant, jacobi_form
+from hyperforms.poly import MultiPoly
+from hyperforms.scalars import zeta
+from hyperforms.tensor import Tensor, multi_indices
+
+T = Tensor((2, 2), [1, 2, 3, 4])
+X = MultiPoly.variable("x", ("x", "y"))
+
+REFUSALS = [
+    ("det_rows_ragged", lambda: det_rows([[1, 2], [3]]),
+     DomainError, "determinant needs a square matrix"),
+    ("cayley_of_a_matrix", lambda: cayley_hyperdet_222(T),
+     DomainError, "expected shape 2x2x2, got 2x2"),
+    ("jacobi_form_of_no_forms", lambda: jacobi_form([], (1,), ("x", "y")),
+     DomainError, "empty system of forms"),
+    ("hyperresultant_of_no_forms", lambda: hyperresultant([], ("x", "y")),
+     DomainError, "empty system of forms"),
+    ("multi_indices_of_no_variables", lambda: multi_indices(0, 2),
+     DomainError, "need at least one variable"),
+    ("multi_indices_of_negative_degree", lambda: multi_indices(2, -1),
+     DomainError, "degree must be >= 0"),
+    ("flat_index_arity", lambda: T.flat_index((0,)),
+     IndexError, "index (0,) has wrong arity for shape (2, 2)"),
+    ("flat_index_bounds", lambda: T.flat_index((0, 2)),
+     IndexError, "index (0, 2) out of bounds for shape (2, 2)"),
+    ("transpose_not_a_permutation", lambda: T.transpose((0, 0)),
+     ValueError, "(0, 0) is not a permutation of axes"),
+    ("tensor_plus_scalar", lambda: T + 1,
+     TypeError, "unsupported operand type(s) for +: 'Tensor' and 'int'"),
+    ("tensor_shape_mismatch", lambda: T + Tensor((2,), [1, 2]),
+     DomainError, "shape mismatch: (2, 2) vs (2,)"),
+    ("apply_gl_axis", lambda: T.apply_gl(2, [[1, 0], [0, 1]]),
+     DomainError, "axis 2 out of range for shape (2, 2)"),
+    ("apply_gl_matrix_size", lambda: T.apply_gl(0, [[1, 0]]),
+     DomainError, "matrix must be 2x2 for axis 0"),
+    ("contract_axis_axis", lambda: T.contract_axis(-1, ("u", "v")),
+     DomainError, "axis -1 out of range for shape (2, 2)"),
+    ("contract_axis_name_count", lambda: T.contract_axis(0, ("u",)),
+     DomainError, "need 2 contraction variables, got 1"),
+    ("exponent_length", lambda: MultiPoly(("x", "y"), {(1,): 1}),
+     ValueError, "exponent vector (1,) has wrong length for ('x', 'y')"),
+    ("variable_not_among_variables", lambda: MultiPoly.variable("z", ("x",)),
+     ValueError, "'z' not among variables ('x',)"),
+    ("as_scalar_of_a_polynomial", lambda: X.as_scalar(),
+     DomainError, "not a constant polynomial: x"),
+    ("polynomial_over_zero", lambda: X / 0,
+     ZeroDivisionError, "division of polynomial by zero scalar"),
+    ("exact_div_by_a_string", lambda: X.exact_div("x"),
+     TypeError, "divisor must be a polynomial or scalar"),
+    ("binary_coefficients_of_zero", lambda: MultiPoly.zero(("x", "y")).binary_coefficients(("x", "y")),
+     DomainError, "zero polynomial needs an explicit degree"),
+    ("cyclotomic_minus_other_order", lambda: zeta(6) - zeta(4),
+     ValueError, "mixed cyclotomic orders 6 and 4"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message",
+                         [pytest.param(*row[1:], id=row[0]) for row in REFUSALS])
+def test_refusal(call, kind, message):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message

@@ -241,6 +241,14 @@ def test_json_roundtrip_bit_exact():
     assert back.to_json() == text
 
 
+def test_repeated_variable_names_are_refused_before_any_json():
+    # the entry would be re-keyed into the second slot, and its JSON would not read back
+    with pytest.raises(ValueError, match=r"^duplicate variable names in \('a', 'a'\)$"):
+        Tensor((1,), [parse_poly("a", ("a",))], ("a", "a"))
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        Tensor.from_json('{"shape": [1], "vars": ["a", "a"], "entries": ["a"]}')
+
+
 def test_json_shape_and_vars_preserved():
     t = Tensor.zeros((2, 3), ("x", "y"))
     d = t.to_json_dict()

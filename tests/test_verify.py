@@ -14,6 +14,8 @@ from hyperforms.poly import MultiPoly
 from hyperforms.tensor import Tensor
 from hyperforms.verify import (
     SUITES,
+    IdentityRecord,
+    VerifyReport,
     _pinned,
     factored_constant,
     is_23_smooth,
@@ -145,6 +147,17 @@ def test_failing_identity_reports_its_witnesses(monkeypatch):
     assert vanish.counterexample == (
         "(f=-18*x^3 + 36*x^2*y - 45*x*y^2 + 27*y^3, "
         "g=9*x^3 + 3*x^2*y - 39*x*y^2 + 27*y^3) -> 1")
+
+
+def test_text_report_prints_the_counterexample_under_its_identity():
+    report = VerifyReport("demo", 3, 9, (
+        IdentityRecord("ratio", 2, True, Fraction(16), "2^4", None),
+        IdentityRecord("vanish", 1, False, None, None, "(f=x) -> 1")))
+    assert report.format_text().splitlines() == [
+        "suite demo (seed 3, range 9)",
+        "  [PASS] ratio: 2 trials constant +2^4*3^0*(1/1) (nominal 2^4)",
+        "  [FAIL] vanish: 1 trials",
+        "         counterexample: (f=x) -> 1"]
 
 
 def test_north_star_report_bytes_are_pinned(capsys):
