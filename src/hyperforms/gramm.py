@@ -21,8 +21,8 @@ from math import factorial
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
 from .poly import MultiPoly, lower
-from .scalars import (Cyclotomic, as_rational, canonical, cyclotomic_polynomial, exact_quotient,
-                      scalar_pow, zeta)
+from .scalars import (RATIONAL_TYPES, Cyclotomic, as_rational, canonical, cyclotomic_polynomial,
+                      exact_quotient, scalar_pow, zeta)
 from .tensor import Tensor
 
 
@@ -153,16 +153,13 @@ def projector_trace(d: int, dim: int, k: int) -> Fraction:
     """Exact trace of the eps^k projector on the dim^d tensor space.
 
     The projectors are idempotent, so the trace equals the rank.  Computed
-    honestly by projecting every basis tensor and reading off the diagonal
-    coefficient.
+    honestly by projecting every basis tensor and reading its diagonal item.
     """
-    shape = (dim,) * d
+    shape, size = (dim,) * d, dim ** d
     total = Fraction(0)
-    for idx in itertools.product(*map(range, shape)):
-        basis = Tensor.from_function(
-            shape, lambda i, idx=idx: MultiPoly.constant(1 if i == idx else 0))
-        diag = project_k(basis, k)[idx].as_scalar()
-        if not isinstance(diag, Fraction):
+    for f in range(size):  # the basis tensor with a 1 at row-major offset f
+        diag = project_k(Tensor(shape, [int(g == f) for g in range(size)]), k)._items[f]
+        if not isinstance(diag, RATIONAL_TYPES):
             raise ArithmeticError("projector diagonal must be rational")
         total += diag
     return total

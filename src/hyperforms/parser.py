@@ -22,18 +22,16 @@ from fractions import Fraction
 from operator import add as _add
 
 from .errors import ParseError
-from .poly import MultiPoly, distinct_vars
+from .poly import NAME, ZETA, MultiPoly, readable_vars
 from .scalars import MAX_ORDER, zeta
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<number>\d+(?:\s*/\s*\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<name>{NAME.pattern})"
     r"|(?P<op>[-+*^()])"
     r"|(?P<bad>.)", re.S
 )
-
-_ZETA = re.compile(r"zeta([1-9][0-9]*)$")
 
 # Parentheses and unary minus recurse; refuse deep nesting before Python's
 # own recursion limit turns it into a crash.
@@ -70,10 +68,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
-        self.vars = distinct_vars(variables)
-        for v in self.vars:
-            if _ZETA.match(v):
-                raise ValueError(f"variable name {v!r} is reserved for roots of unity")
+        self.vars = readable_vars(variables)
         self.one = (0,) * len(self.vars)
         self.units = {v: self.one[:i] + (1,) + self.one[i + 1:] for i, v in enumerate(self.vars)}
 
@@ -176,7 +171,7 @@ class _Parser:
         if kind == "name":
             if (unit := self.units.get(text)) is not None:
                 return {unit: 1}
-            if zm := _ZETA.match(text):
+            if zm := ZETA.match(text):
                 digits = zm.group(1)
                 if len(digits) > 2 or int(digits) > MAX_ORDER:
                     raise ParseError(f"root of unity order exceeds the limit {MAX_ORDER}", pos)

@@ -6,19 +6,24 @@ exponent vectors to nonzero coefficients: ``int`` when integral, otherwise
 operations are pure and exact; instances are immutable by convention.
 Canonical ordering of terms is graded lexicographic with respect to the
 variable tuple, which makes equality structural and rendering canonical.
+The text is written by ``scalars.render``, and the constructor and ``variable``
+take only names that the text reads back with (:func:`readable_vars`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
 from fractions import Fraction
 from operator import add as _add, index as _index, sub as _sub
 
 from .errors import DomainError
-from .scalars import Cyclotomic, canonical, exact_quotient, power
+from .scalars import Cyclotomic, canonical, exact_quotient, power, render
 
 COEFF_TYPES = (int, Fraction, Cyclotomic)
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a variable name, as the parser reads names
+ZETA = re.compile(r"zeta([1-9][0-9]*)$")  # the root of unity zeta<m>, never a variable
 
 
 def _grlex(exps: tuple[int, ...]):
@@ -34,6 +39,17 @@ def distinct_vars(names) -> tuple[str, ...]:
     """Variable names as a tuple, refused when a name repeats."""
     if len(set(vs := tuple(names))) != len(vs):
         raise ValueError(f"duplicate variable names in {vs}")
+    return vs
+
+
+def readable_vars(names) -> tuple[str, ...]:
+    """Distinct variable names that printed text reads back with: ASCII identifiers as
+    ``parse_poly`` reads names, none the root of unity ``zeta<m>``; ValueError otherwise."""
+    for v in (vs := distinct_vars(names)):
+        if type(v) is not str or not NAME.fullmatch(v):
+            raise ValueError(f"variable name {v!r} is not an ASCII identifier")
+        if ZETA.match(v):
+            raise ValueError(f"variable name {v!r} is reserved for roots of unity")
     return vs
 
 
@@ -97,7 +113,7 @@ class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms):
-        vs = distinct_vars(variables)
+        vs = readable_vars(variables)
         tidy = {}
         n = len(vs)
         for exps, c in terms.items():
@@ -138,7 +154,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, name: str, variables=None) -> "MultiPoly":
-        vs = distinct_vars(variables) if variables is not None else (name,)
+        vs = readable_vars((name,) if variables is None else variables)
         exps = tuple(1 if v == name else 0 for v in vs)
         if name not in vs:
             raise ValueError(f"{name!r} not among variables {vs}")
@@ -429,31 +445,7 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                v if x == 1 else f"{v}^{x}"
-                for v, x in zip(self.vars, e) if x)
-            if isinstance(c, Cyclotomic):
-                body = f"({c})" + (f"*{mono}" if mono else "")
-                sign = "+"
-            else:
-                sign = "-" if c < 0 else "+"
-                a = -c if c < 0 else c
-                if not mono:
-                    body = str(a)
-                elif a == 1:
-                    body = mono
-                else:
-                    body = f"{a}*{mono}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return render((c, zip(self.vars, e)) for e, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars}, {self})"

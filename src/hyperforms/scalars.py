@@ -7,6 +7,7 @@ vector modulo the m-th cyclotomic polynomial whose integral entries are
 a ``float``; any cyclotomic value that reduces to a rational is demoted to a
 ``Fraction``.  The one dense division is by a monic integer divisor: it
 builds Phi_m and reduces modulo it.  Inverses come from the field norm.
+:func:`render` writes the canonical text of polynomials and cyclotomic values alike.
 """
 
 from __future__ import annotations
@@ -210,24 +211,25 @@ class Cyclotomic:
         return f"Cyclotomic({self.order}, {self.coeffs})"
 
     def __str__(self) -> str:
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mono = f"zeta{self.order}" if e == 1 else f"zeta{self.order}^{e}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return render([(c, ((f"zeta{self.order}", e),)) for e, c in enumerate(self.coeffs) if c])
+
+
+def render(terms) -> str:
+    """The canonical text of a sum of terms ``(c, ((name, exponent), ...))``, in order:
+    ``c*v*w^x`` with zero exponents and a coefficient of 1 before a monomial left out,
+    a :class:`Cyclotomic` coefficient parenthesised.  A term whose coefficient text starts
+    with ``-`` joins as `` - `` (leads as ``-``), any other as `` + ``; the empty sum is ``0``.
+    """
+    out = []
+    for c, mono in terms:
+        text = f"({c})" if isinstance(c, Cyclotomic) else str(c)
+        sign, text = (" - ", text[1:]) if text[0] == "-" else (" + ", text)
+        if m := "*".join([v if x == 1 else f"{v}^{x}" for v, x in mono if x]):
+            text = m if text == "1" else f"{text}*{m}"
+        out += sign, text
+    if out:
+        out[0] = "-" if out[0] == " - " else ""
+    return "".join(out) or "0"
 
 
 def zeta(m: int):

@@ -63,12 +63,12 @@ class Tensor:
     """Dense tensor of polynomial entries sharing one variable list.
 
     Each entry is held as its item (``poly.lower``): its canonical value when constant,
-    else a :class:`MultiPoly` on ``vars``; ``entries`` lifts the items on first read.
-    Immutable by convention: every operation returns a new tensor and that fill is
-    idempotent, so tensors can be shared freely across threads.
+    else a :class:`MultiPoly` on ``vars``.  ``entries`` and ``t[idx]`` lift items to
+    polynomials on each read and keep nothing.  Immutable by convention: every
+    operation returns a new tensor, so tensors can be shared freely across threads.
     """
 
-    __slots__ = ("shape", "vars", "_items", "_entries")
+    __slots__ = ("shape", "vars", "_items")
 
     def __init__(self, shape, entries, variables=None):
         self.shape = check_shape(shape)
@@ -79,20 +79,18 @@ class Tensor:
         if variables is None:
             variables = merge_vars(x.vars for x in entries if type(x) is MultiPoly)
         self.vars = distinct_vars(variables)
-        self._items, self._entries = _lowered(entries, self.vars), None
+        self._items = _lowered(entries, self.vars)
 
     @classmethod
     def _built(cls, shape, items, variables) -> "Tensor":
         t = object.__new__(cls)  # shape checked, items a list already on ``variables``
-        t.shape, t.vars, t._items, t._entries = shape, variables, items, None
+        t.shape, t.vars, t._items = shape, variables, items
         return t
 
     @property
     def entries(self) -> list:
-        """The entries, as polynomials on ``vars``."""
-        if self._entries is None:
-            self._entries = [lift(x, self.vars) for x in self._items]
-        return self._entries
+        """The entries, as polynomials on ``vars``, lifted from the items on each read."""
+        return [lift(x, self.vars) for x in self._items]
 
     @classmethod
     def zeros(cls, shape, variables=()) -> "Tensor":
@@ -132,7 +130,7 @@ class Tensor:
         return tuple(reversed(idx))
 
     def __getitem__(self, idx) -> MultiPoly:
-        return self.entries[self.flat_index(idx)]
+        return lift(self._items[self.flat_index(idx)], self.vars)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -250,6 +248,6 @@ class Tensor:
         return cls.from_json_dict(data)
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(p) for p in self.entries[:4])
-        more = ", ..." if len(self.entries) > 4 else ""
+        inner = ", ".join(str(lift(x, self.vars)) for x in self._items[:4])
+        more = ", ..." if len(self._items) > 4 else ""
         return f"Tensor(shape={self.shape}, [{inner}{more}])"

@@ -154,6 +154,14 @@ def test_projector_ranks_d3_dim3():
     assert tuple(projector_trace(3, 3, k) for k in range(6)) == (10, 1, 7, 1, 7, 1)
 
 
+@pytest.mark.parametrize("d, dim", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)])
+def test_projector_ranks_count_admissible_orbits(d, dim):
+    # on an orbit of size s that admits eps^k, the diagonal of the projector is s times 1/s
+    orbits = orbit_ord(d, dim).orbits
+    for k in range(factorial(d)):
+        assert projector_trace(d, dim, k) == sum(k * o.size % factorial(d) == 0 for o in orbits)
+
+
 def test_projection_d2_splits_symmetric_antisymmetric():
     rng = random.Random(91)
     t = rand_tensor(rng, (4, 4))

@@ -2,16 +2,16 @@
 derivatives against iterated partials, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
 axioms of ``Cyclotomic`` and its subtraction, the print/parse round trip of ``zeta<m>``
-coefficients, the parser against its per-token oracle on valid and malformed
-strings, contraction against the multiply route and the pencil built by hand,
-resultants of any two degrees, hyperdeterminants against the contraction route,
-the closed-form pencil of two 2x2 slices against interpolation, tensors, matrices and binary
-forms that mix constant and symbolic entries against all-polynomial oracles, determinants of
-matrices of mixed items against a Leibniz expansion, skew projections
-of numeric tensors against the polynomial route (also with a fresh variable
-substituted away, types and variables included), hyperresultants of
-random systems against the format rule, and CLI argvs that may only end in
-documented exit codes."""
+coefficients, printed text against the two writers ``render`` replaced, the parser
+against its per-token oracle on valid and malformed strings, contraction against the
+multiply route and the pencil built by hand, resultants of any two degrees,
+hyperdeterminants against the contraction route, the closed-form pencil of two 2x2
+slices against interpolation, tensors, matrices and binary forms that mix constant and
+symbolic entries against all-polynomial oracles, determinants of matrices of mixed items
+against a Leibniz expansion, skew projections of numeric tensors against the polynomial
+route (also with a fresh variable substituted away, types and variables included),
+hyperresultants of random systems against the format rule, and CLI argvs that may only
+end in documented exit codes."""
 
 import contextlib
 import importlib
@@ -45,6 +45,7 @@ from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
 
 from parser_oracle import parse_poly as oracle_parse  # noqa: E402
 from partials import derivative as iterated_derivative  # noqa: E402
+from render_oracle import cyclotomic_text, poly_text  # noqa: E402
 from schlaefli import contraction_hyperdet, pencil_by_interpolation  # noqa: E402
 from substitute import subs  # noqa: E402
 from sylvester import sylvester_disc, sylvester_rows  # noqa: E402
@@ -412,6 +413,29 @@ def test_print_parse_round_trip_with_roots_of_unity(p):
     text = str(p)
     back = parse_poly(text, p.vars)
     assert back == p and str(back) == text
+
+
+@st.composite
+def render_polys(draw):
+    # 0-3 variables; +-1, int, Fraction and cyclotomic coefficients of one order in 3..64,
+    # some of them demoted to rationals; the zero polynomial among them
+    vs = ("x", "y", "z")[:draw(st.integers(0, 3))]
+    m = draw(st.integers(3, 64))
+    coeffs = st.one_of(st.sampled_from([1, -1]), rationals, cyclotomics(m, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * len(vs))
+    return MultiPoly(vs, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@bounded
+@given(render_polys(), st.integers(3, 64).flatmap(cyclotomics))
+@example(MultiPoly.constant(-3, ("x",)), -zeta(6))  # a leading negative constant; -zeta6
+@example(MultiPoly(("x",), {(1,): zeta(6)}), zeta(6))  # (zeta6)*x
+@example(MultiPoly(("x", "y"), {(2, 1): Fraction(1, 2)}), 1 - zeta(6) ** 2)  # 1/2*x^2*y
+def test_render_matches_the_writers_it_replaced(p, z):
+    # text that parses back to the same value, such as 1*x, passes the round trip above
+    assert str(p) == poly_text(p)
+    if isinstance(z, Cyclotomic):
+        assert str(z) == cyclotomic_text(z)
 
 
 _spaces = st.sampled_from(["", " ", "  "])

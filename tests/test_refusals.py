@@ -58,6 +58,24 @@ REFUSALS = [
      DomainError, "zero polynomial needs an explicit degree"),
     ("cyclotomic_minus_other_order", lambda: zeta(6) - zeta(4),
      ValueError, "mixed cyclotomic orders 6 and 4"),
+    # a variable name must read back from printed text and tensor JSON
+    ("empty_variable_name", lambda: MultiPoly.variable("", ("",)),
+     ValueError, "variable name '' is not an ASCII identifier"),
+    ("variable_name_with_a_space", lambda: MultiPoly.variable("x y", ("x y", "z")),
+     ValueError, "variable name 'x y' is not an ASCII identifier"),
+    ("non_ascii_variable_name", lambda: MultiPoly.variable("é"),
+     ValueError, "variable name 'é' is not an ASCII identifier"),
+    ("dotted_variable_name", lambda: MultiPoly(("a.b",), {(1,): 1}),
+     ValueError, "variable name 'a.b' is not an ASCII identifier"),
+    ("root_of_unity_as_variable", lambda: MultiPoly.variable("zeta6"),
+     ValueError, "variable name 'zeta6' is reserved for roots of unity"),
+    ("root_of_unity_among_variables", lambda: MultiPoly(("x", "zeta12"), {}),
+     ValueError, "variable name 'zeta12' is reserved for roots of unity"),
+    ("variable_name_not_a_string", lambda: MultiPoly.variable(1, (1, 2)),
+     ValueError, "variable name 1 is not an ASCII identifier"),
+    ("tensor_json_variable_name", lambda: Tensor.from_json(
+        '{"shape": [1], "vars": ["a.b"], "entries": ["0"]}'),
+     ValueError, "variable name 'a.b' is not an ASCII identifier"),
 ]
 
 

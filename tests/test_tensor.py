@@ -289,14 +289,23 @@ def test_tensors_of_constants_build_entries_on_first_read(monkeypatch):
     assert acted.entries == want.entries
     for got in [t, acted] + parts:
         assert all(map(_canonical, got._items))
-        entries = got.entries
-        assert got.entries is entries
-        for p in entries:
+        for p in got.entries:
             assert p.vars == ("a",)
             assert all(c and _canonical(c) for c in p.terms.values())
     assert [p.terms for p in t.entries] == [{(0,): 1 if v is True else v} if v else {}
                                             for v in values]
     assert built
+
+
+def test_reading_an_entry_lifts_that_item_alone(monkeypatch):
+    t = Tensor((3, 3, 3), [Fraction(i, 2) for i in range(27)], ("a",))
+    built, raw = [], MultiPoly._raw
+    monkeypatch.setattr(MultiPoly, "_raw",
+                        classmethod(lambda cls, vs, terms: built.append(terms) or raw(vs, terms)))
+    p = t[1, 2, 0]
+    assert built == [p.terms] and p.vars == ("a",) and p.terms == {(0,): Fraction(15, 2)}
+    built.clear()
+    assert repr(t) == "Tensor(shape=(3, 3, 3), [0, 1/2, 1, 3/2, ...])" and len(built) == 4
 
 
 def test_value_backed_and_entry_backed_tensors_compare_by_value():
