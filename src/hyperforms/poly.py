@@ -6,12 +6,13 @@ exponent vectors to nonzero coefficients: ``int`` when integral, otherwise
 operations are pure and exact; instances are immutable by convention.
 Canonical ordering of terms is graded lexicographic with respect to the
 variable tuple, which makes equality structural and rendering canonical.
-The text is written by ``scalars.render``, and the constructor and ``variable``
-take only names that the text reads back with (:func:`readable_vars`).
+The text is written by ``scalars.render``, and every variable tuple a polynomial
+or tensor stores passes one rule, :func:`readable_vars`, so the text reads back.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import re
@@ -35,17 +36,17 @@ def merge_vars(tuples) -> tuple[str, ...]:
     return tuple(dict.fromkeys(v for vs in tuples for v in vs))
 
 
-def distinct_vars(names) -> tuple[str, ...]:
-    """Variable names as a tuple, refused when a name repeats."""
-    if len(set(vs := tuple(names))) != len(vs):
-        raise ValueError(f"duplicate variable names in {vs}")
-    return vs
-
-
 def readable_vars(names) -> tuple[str, ...]:
-    """Distinct variable names that printed text reads back with: ASCII identifiers as
-    ``parse_poly`` reads names, none the root of unity ``zeta<m>``; ValueError otherwise."""
-    for v in (vs := distinct_vars(names)):
+    """Variable names as a tuple that printed text reads back with, else ValueError: distinct
+    ASCII identifiers as ``parse_poly`` reads names, none the root of unity ``zeta<m>``."""
+    return _readable(tuple(names))
+
+
+@functools.lru_cache(maxsize=1024)  # bounded: tuples come from users
+def _readable(vs: tuple) -> tuple[str, ...]:
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"duplicate variable names in {vs}")
+    for v in vs:
         if type(v) is not str or not NAME.fullmatch(v):
             raise ValueError(f"variable name {v!r} is not an ASCII identifier")
         if ZETA.match(v):
@@ -144,11 +145,11 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, variables=()) -> "MultiPoly":
-        return cls._raw(distinct_vars(variables), {})
+        return cls._raw(readable_vars(variables), {})
 
     @classmethod
     def constant(cls, value, variables=()) -> "MultiPoly":
-        vs = distinct_vars(variables)
+        vs = _readable(tuple(variables))  # the cached rule itself: lift runs this per entry
         c = _coerce_coeff(value)
         return cls._raw(vs, {(0,) * len(vs): c} if c else {})
 
@@ -201,10 +202,9 @@ class MultiPoly:
 
     def with_vars(self, variables) -> "MultiPoly":
         """Reindex onto a variable tuple that must cover every used variable."""
-        vs = tuple(variables)
-        own = self.vars
-        if vs == own:
+        if (vs := tuple(variables)) == (own := self.vars):
             return self
+        vs = _readable(vs)
         n, m = len(own), len(vs)
         if vs[:n] == own:  # names only appended
             pad = (0,) * (m - n)
@@ -295,7 +295,7 @@ class MultiPoly:
     def dot(variables, left, right) -> "MultiPoly":
         """The sum of left[j] * right[j] over polynomials, as a polynomial in
         ``variables``, which must cover every variable the operands use."""
-        vs = tuple(variables)
+        vs = readable_vars(variables)
         out = {}
         for p, q in zip(left, right, strict=True):
             _addmul(out, (p if p.vars == vs else p.with_vars(vs)).terms,

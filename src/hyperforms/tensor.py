@@ -17,7 +17,7 @@ from functools import reduce
 from operator import add, mul
 
 from .errors import DomainError
-from .poly import MultiPoly, distinct_vars, form_vars, lift, lower, merge_vars
+from .poly import MultiPoly, form_vars, lift, lower, merge_vars, readable_vars
 
 
 _MAX_ENTRIES = 8 ** 4  # every entry is stored, so bound the count before building any
@@ -78,7 +78,7 @@ class Tensor:
             raise ValueError(f"expected {size} entries for shape {self.shape}, got {len(entries)}")
         if variables is None:
             variables = merge_vars(x.vars for x in entries if type(x) is MultiPoly)
-        self.vars = distinct_vars(variables)
+        self.vars = readable_vars(variables)
         self._items = _lowered(entries, self.vars)
 
     @classmethod

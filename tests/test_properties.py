@@ -2,7 +2,8 @@
 derivatives against iterated partials, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
 axioms of ``Cyclotomic`` and its subtraction, the print/parse round trip of ``zeta<m>``
-coefficients, printed text against the two writers ``render`` replaced, the parser
+coefficients, tensor JSON that reads back whichever door built the tensor, printed
+text against the two writers ``render`` replaced, the parser
 against its per-token oracle on valid and malformed strings, contraction against the
 multiply route and the pencil built by hand, resultants of any two degrees,
 hyperdeterminants against the contraction route, the closed-form pencil of two 2x2
@@ -413,6 +414,30 @@ def test_print_parse_round_trip_with_roots_of_unity(p):
     text = str(p)
     back = parse_poly(text, p.vars)
     assert back == p and str(back) == text
+
+
+_READABLE = ("x", "a_1")
+_DOORS = {  # each way a tensor comes to store a variable tuple
+    "constructor": lambda vs: Tensor((2,), [1, Fraction(1, 2)], vs),
+    "zeros": lambda vs: Tensor.zeros((1, 2), vs),
+    "constant_and_zero": lambda vs: Tensor((2,), [MultiPoly.constant(3, vs), MultiPoly.zero(vs)]),
+    "extend_vars": lambda vs: Tensor((1,), [MultiPoly.variable("x").extend_vars(vs)]),
+}
+
+
+@bounded
+@given(st.sampled_from(sorted(_DOORS)),
+       st.lists(st.sampled_from(_READABLE + ("x y", "é", "zeta6", "")), max_size=3, unique=True))
+@example("constructor", ["x y"])
+@example("extend_vars", ["a_1", "zeta6"])
+def test_tensor_json_reads_back_whatever_door_built_it(door, names):
+    try:
+        t = _DOORS[door](tuple(names))
+    except ValueError:
+        assert set(names) - set(_READABLE)  # only an unreadable name is refused
+        return
+    text = t.to_json()
+    assert Tensor.from_json(text).to_json() == text
 
 
 @st.composite

@@ -5,7 +5,8 @@ import pytest
 
 from hyperforms.errors import DomainError
 from hyperforms.hyperdet import cayley_hyperdet_222, det_rows
-from hyperforms.polarisation import hyperresultant, jacobi_form
+from hyperforms.parser import parse_poly
+from hyperforms.polarisation import hyperresultant, jacobi_form, polarize
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import zeta
 from hyperforms.tensor import Tensor, multi_indices
@@ -76,6 +77,20 @@ REFUSALS = [
     ("tensor_json_variable_name", lambda: Tensor.from_json(
         '{"shape": [1], "vars": ["a.b"], "entries": ["0"]}'),
      ValueError, "variable name 'a.b' is not an ASCII identifier"),
+    # the same rule at every door that stores a variable tuple
+    ("zero_on_an_unreadable_name", lambda: MultiPoly.zero(("x y",)),
+     ValueError, "variable name 'x y' is not an ASCII identifier"),
+    ("constant_on_a_root_of_unity", lambda: MultiPoly.constant(1, ("zeta6",)),
+     ValueError, "variable name 'zeta6' is reserved for roots of unity"),
+    ("dot_on_an_unreadable_name", lambda: MultiPoly.dot(("a.b",), [], []),
+     ValueError, "variable name 'a.b' is not an ASCII identifier"),
+    ("extend_vars_by_an_unreadable_name", lambda: MultiPoly.variable("x").extend_vars(["a b"]),
+     ValueError, "variable name 'a b' is not an ASCII identifier"),
+    ("tensor_on_an_unreadable_name", lambda: Tensor((1,), [1], ("x y",)),
+     ValueError, "variable name 'x y' is not an ASCII identifier"),
+    ("polarize_on_an_unreadable_form_variable", lambda: polarize(
+        parse_poly("x^2+y^2", ("x", "y")), (1,), ("x", "y", "w z")),
+     ValueError, "variable name 'w z' is not an ASCII identifier"),
 ]
 
 
