@@ -202,23 +202,16 @@ class MultiPoly:
 
     def with_vars(self, variables) -> "MultiPoly":
         """Reindex onto a variable tuple that must cover every used variable."""
-        if (vs := tuple(variables)) == (own := self.vars):
+        if (vs := tuple(variables)) == self.vars:
             return self
-        vs = _readable(vs)
-        n, m = len(own), len(vs)
-        if vs[:n] == own:  # names only appended
-            pad = (0,) * (m - n)
-            return MultiPoly._raw(vs, {e + pad: c for e, c in self.terms.items()})
-        if own[:m] == vs and not any(any(e[m:]) for e in self.terms):  # unused suffix dropped
-            return MultiPoly._raw(vs, {e[:m]: c for e, c in self.terms.items()})
-        pos = {v: i for i, v in enumerate(vs)}
+        pos = {v: i for i, v in enumerate(_readable(vs))}
         missing = [v for v in self.vars if v not in pos and self.uses(v)]
         if missing:
             raise ValueError(f"target variables {vs} drop used variables {missing}")
         out = {}
         src = [pos.get(v) for v in self.vars]
         for e, c in self.terms.items():
-            ne = [0] * m
+            ne = [0] * len(vs)
             for i, x in enumerate(e):
                 if x:
                     ne[src[i]] = x
@@ -298,8 +291,7 @@ class MultiPoly:
         vs = readable_vars(variables)
         out = {}
         for p, q in zip(left, right, strict=True):
-            _addmul(out, (p if p.vars == vs else p.with_vars(vs)).terms,
-                    (q if q.vars == vs else q.with_vars(vs)).terms)
+            _addmul(out, p.with_vars(vs).terms, q.with_vars(vs).terms)
         return MultiPoly._raw(vs, out)
 
     def __truediv__(self, scalar):

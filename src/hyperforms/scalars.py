@@ -33,9 +33,9 @@ def canonical(q):
 
 
 def exact_quotient(a, b):
-    """a / b with an integral quotient as ``int``, never a ``float``: int/int
-    goes through divmod, anything else through the operands' own division."""
-    if type(a) is int and type(b) is int:
+    """a / b with an integral quotient as a plain ``int``, never a ``float``: two ``int``
+    instances (``bool`` too) go through divmod, anything else through its own division."""
+    if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return canonical(a / b)

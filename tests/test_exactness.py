@@ -250,6 +250,26 @@ def test_exact_quotient_types():
         exact_quotient(1, 0)
 
 
+def test_division_by_a_bool_or_an_int_subclass_stays_exact():
+    # bool and any other int subclass are integers: the quotient is a plain int or a
+    # Fraction, never the float that true division of two ints gives
+    class I(int):
+        pass
+
+    for a, b, want in ((True, 2, Fraction(1, 2)), (6, True, 6), (I(6), I(3), 2),
+                       (I(7), 2, Fraction(7, 2)), (False, I(5), 0)):
+        q = exact_quotient(a, b)
+        assert q == want and type(q) is type(want), (a, b, q)
+    p = parse_poly("3*x + 1/2*y", XY)
+    for one in (True, I(1)):
+        assert (p / one).terms == p.terms
+        assert [type(c) for c in (p / one).terms.values()] == [int, Fraction]
+        z = zeta(6) / one
+        assert z == zeta(6) and [type(c) for c in z.coeffs] == [int, int]
+    assert (parse_poly("3*x", ("x",)) / I(2)).terms == {(1,): Fraction(3, 2)}
+    check_exact([p / True, p / I(2), zeta(6) / True, zeta(6) / I(2)])
+
+
 def test_integral_coefficients_are_stored_as_int():
     p = MultiPoly(XY, {(1, 0): Fraction(6, 3), (0, 1): True, (0, 0): Fraction(1, 2)})
     assert [type(c) for c in p.terms.values()] == [int, int, Fraction]

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -301,6 +302,36 @@ def test_with_vars_fast_paths_equal_general_reindex():
         for q, target in ((r, XY), (x_only, ("x",)), (r, ("y", "x"))):  # unused suffix or not
             d = q.with_vars(target)
             assert d.vars == target and d.terms == _by_names(q, target)
+
+
+def test_with_vars_equals_lookup_by_name_on_random_tuples():
+    # one re-indexing loop serves every target: new names anywhere, old names reordered
+    # or dropped; dropping a used name is refused, naming the used names lost
+    hypothesis = pytest.importorskip("hypothesis")
+    st, pool = hypothesis.strategies, "abcdef"
+    names = st.lists(st.sampled_from(pool), unique=True, max_size=5).map(tuple)
+    exps = st.tuples(*[st.integers(0, 3)] * len(pool))  # over the pool, read on the source
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(names, names, st.dictionaries(exps, st.integers(-9, 9), max_size=6))
+    @hypothesis.example(("a", "b", "c"), ("d", "a", "e", "b", "f", "c"),
+                        {(1, 2, 3, 0, 0, 0): 5, (0, 0, 1, 0, 0, 0): -1})  # interleaved
+    @hypothesis.example(("a", "b", "c"), ("a", "c"),
+                        {(1, 0, 2, 0, 0, 0): 5, (0, 0, 1, 0, 0, 0): -1})  # unused middle
+    @hypothesis.example(("a", "b", "c"), ("a", "c"), {(1, 1, 0, 0, 0, 0): 5})  # used middle
+    def check(source, target, terms):
+        p = MultiPoly(source, {tuple(e[pool.index(v)] for v in source): c
+                               for e, c in terms.items()})
+        lost = [v for v in source if v not in target and p.uses(v)]
+        if lost:
+            with pytest.raises(ValueError, match=re.escape(f"drop used variables {lost}")):
+                p.with_vars(target)
+            return
+        q = p.with_vars(target)
+        assert q.vars == target and q.terms == _by_names(p, target)
+        assert q.with_vars(source).terms == p.terms
+
+    check()
 
 
 def test_with_vars_refuses_to_drop_a_used_trailing_variable():
