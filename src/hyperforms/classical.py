@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .hyperdet import _bounded_degree, _resultant, det_rows, det_square
-from .poly import MultiPoly, binary_vars, lift, lower, merge_vars
+from .poly import MultiPoly, binary_vars, lift, merge_vars
 from .tensor import Tensor
 
 
@@ -21,24 +21,23 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, xy=("x", "y")) -> MultiPoly:
         raise DomainError("resultant of the zero polynomial is undefined")
     # one variable tuple with f's names first, though rows of g may come first
     merged = merge_vars((f.vars, g.vars))
-    cs = [h.with_vars(merged).binary_coefficients(xy) for h in (f, g)]
-    avec, bvec = [list(map(lower, h)) for h in cs]
+    (avec, rest), (bvec, _) = [h.with_vars(merged)._binary_items(xy) for h in (f, g)]
     m = _bounded_degree("resultant", len(avec) - 1, 1)
     n = _bounded_degree("resultant", len(bvec) - 1, 1)
     res = _resultant(avec, bvec) if m >= n else _resultant(bvec, avec)
     res = -res if m < n and m * n % 2 else res  # Res(f, g) = (-1)^(mn) Res(g, f)
-    return lift(res, cs[0][0].vars)
+    return lift(res, rest)
 
 
 def hankel_matrix(f: MultiPoly, xy=("x", "y")) -> Tensor:
     """The 3x3 catalecticant matrix of fourth partials of a binary quartic."""
-    c0, c1, c2, c3, c4 = f.binary_coefficients(xy, 4)
+    (c0, c1, c2, c3, c4), rest = f._binary_items(xy, 4)
     rows = [
         [24 * c0, 6 * c1, 4 * c2],
         [6 * c1, 4 * c2, 6 * c3],
         [4 * c2, 6 * c3, 24 * c4],
     ]
-    return Tensor((3, 3), [p for row in rows for p in row])
+    return Tensor((3, 3), [p for row in rows for p in row], rest)
 
 
 def hankel_quartic(f: MultiPoly, xy=("x", "y")) -> MultiPoly:
@@ -52,8 +51,8 @@ def apolar_quartic(f: MultiPoly, xy=("x", "y")) -> MultiPoly:
     The middle sign is forced: only this sign is a relative GL2 invariant
     (it is 12 times the classical I invariant in plain coefficients).
     """
-    c0, c1, c2, c3, c4 = f.binary_coefficients(xy, 4)
-    return c2 * c2 - 3 * (c1 * c3) + 12 * (c0 * c4)
+    (c0, c1, c2, c3, c4), rest = f._binary_items(xy, 4)
+    return lift(c2 * c2 - 3 * (c1 * c3) + 12 * (c0 * c4), rest)
 
 
 def wronskian3(f1: MultiPoly, f2: MultiPoly, f3: MultiPoly, xy=("x", "y")) -> MultiPoly:

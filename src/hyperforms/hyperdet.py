@@ -195,29 +195,26 @@ def binary_form_disc(f: MultiPoly, xy=("x", "y"), degree: int | None = None) -> 
     """
     # bound a declared degree before a list of degree + 1 coefficients is built
     if degree is not None:
-        _bounded_degree("discriminant", degree, 2)
-    cs = f.binary_coefficients(xy, degree)
-    d = _bounded_degree("discriminant", len(cs) - 1, 2)
-    items = list(map(lower, cs))
+        degree = _bounded_degree("discriminant", operator.index(degree), 2)
+    items, rest = f._binary_items(xy, degree)
+    d = _bounded_degree("discriminant", len(items) - 1, 2)
     if d > 4:  # the coefficients of df/dx and df/dy, read off those of f
         res = _resultant([(d - i) * c for i, c in enumerate(items[:-1])],
                          [i * c for i, c in enumerate(items) if i])
         disc = exact_quotient(res * (-1) ** (d * (d - 1) // 2), d ** (d - 2))
     else:
         disc = _closed_form_disc(items)
-    return lift(disc, cs[0].vars)
+    return lift(disc, rest)
 
 
 def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:
     """Hessian determinant of a quadratic in ``uvw``: H_ii = 2*c(u_i^2), H_ij = c(u_i*u_j)."""
-    q = q.extend_vars(uvw)
-    if q.homogeneous_degree_in(uvw) not in (2, -1):
-        raise DomainError(
-            f"expected a quadratic in {tuple(uvw)}, got degree {q.homogeneous_degree_in(uvw)}")
-    c, zero = q.coefficients_in(uvw), MultiPoly.zero(v for v in q.vars if v not in uvw)
+    c, rest, degs = q.extend_vars(uvw)._table(uvw)
+    if (d := max(degs, default=-1)) not in (2, -1):
+        raise DomainError(f"expected a quadratic in {tuple(uvw)}, got degree {d}")
     n = range(len(uvw))
-    h = [[c.get(tuple(map((i, j).count, n)), zero) for j in n] for i in n]
-    return det_rows([[p * 2 if i == j else p for j, p in enumerate(r)] for i, r in enumerate(h)])
+    return det_rows([[lift(c.get(tuple(map((i, j).count, n)), 0), rest) * (2 if i == j else 1)
+                      for j in n] for i in n])
 
 
 # -- hyperdeterminants ----------------------------------------------------------

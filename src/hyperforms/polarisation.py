@@ -2,8 +2,10 @@
 
 ``polarize`` maps a degree-k form to the tensor of its raw iterated partial
 derivatives indexed by degree-k_i multi-indices (no factorial normalisation,
-so the classical coefficient tables are reproduced literally); each distinct
-total multi-index costs one pass over the form's terms (``MultiPoly.derivative``).
+so the classical coefficient tables are reproduced literally).  Each form is read
+once into a table of its coefficients c_g by exponent g (``MultiPoly._table``), and
+each entry off a plan cached per layout: the partial by alpha is the sum over beta of
+perm(alpha + beta, alpha) * c_(alpha+beta) * x^beta, at full order one lookup times alpha!.
 It is the Jacobi form of a one-form system; hyperhessians, hyperresultants and
 the iterated-gradient sequence are thin layers over the same step.
 """
@@ -18,44 +20,48 @@ import operator
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
 from .parser import MAX_EXPONENT
-from .poly import MultiPoly, form_vars, lower, merge_vars
+from .poly import MultiPoly, form_vars, merge_vars
 from .tensor import Tensor, check_shape, multi_indices
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(n: int, key: tuple[int, ...]):
-    """Shape and row-major total multi-indices of a polarisation by ``key`` in n variables."""
+def _plan(n: int, key: tuple[int, ...], degrees: tuple[int, ...]):
+    """Shape of a polarisation by ``key`` in n variables of a form with terms of ``degrees``,
+    the parts (g = alpha + beta, beta, perm(g, alpha)) of each row-major entry's partial by
+    alpha, and whether every entry is one part with beta = 0 (full order)."""
     shape = check_shape(math.comb(n + km - 1, km) for km in key)  # multi-indices per slot
-    return shape, tuple(tuple(map(sum, zip(*combo)))
-                        for combo in itertools.product(*(multi_indices(n, km) for km in key)))
-
-
-def _derivatives(f: MultiPoly, geo, alphas) -> dict:
-    """The partial of ``f`` for each distinct multi-index over ``geo`` as an item, one pass each."""
-    return {alpha: lower(f.derivative(geo, alpha)) for alpha in set(alphas)}
+    alphas = [tuple(map(sum, zip((0,) * n, *combo)))
+              for combo in itertools.product(*(multi_indices(n, km) for km in key))]
+    parts = {a: tuple(((g := tuple(map(operator.add, a, b))), b, math.prod(map(math.perm, g, a)))
+                      for d in degrees if d >= sum(a)
+                      for b in (multi_indices(n, d - sum(a)) if n else [()]))
+             for a in set(alphas)}
+    full = all(len(p) == 1 and not any(p[0][1]) for p in parts.values())
+    return shape, tuple(parts[a] for a in alphas), full
 
 
 def _system(forms, geo):
-    # the forms on variables covering geo and their common degree, one scan each
-    forms, degs = [f.extend_vars(geo) for f in forms], set()
+    # one table per form, the forms' variables covering geo, and their common degree
+    if not (forms := [f.extend_vars(geo) for f in forms]):
+        raise DomainError("empty system of forms")
+    tables = []
     for f in forms:
-        if (d := f.homogeneous_degree_in(geo)) < 0:
+        if not (table := f._table(geo))[2]:
             raise DomainError("the zero polynomial has no well-defined form degree")
-        degs.add(d)
-    if len(degs) != 1:
+        tables.append(table)
+    if len(degs := set().union(*(t[2] for t in tables))) != 1:
         raise DomainError(f"system mixes degrees {sorted(degs)}")
-    return forms, degs.pop()
+    return tables, merge_vars(f.vars for f in forms), degs.pop()
 
 
-def _jacobi(forms, key, geo, k: int) -> Tensor:
-    # forms of degree k on variables covering geo
+def _jacobi(system, key, geo) -> Tensor:
+    tables, vs, k = system
     if (total := sum(key)) > k:
         raise DomainError(f"key weight {total} exceeds form degree {k}")
-    shape, alphas = _layout(len(geo), key)
-    shape = check_shape(shape + (len(forms),))
-    vs = merge_vars(f.vars for f in forms)
-    derivs = [_derivatives(f.with_vars(vs), geo, alphas) for f in forms]
-    return Tensor._built(shape, [d[alpha] for alpha in alphas for d in derivs], vs)
+    shape, plan, full = _plan(len(geo), key, (k,))
+    cols = [MultiPoly._partials(vs, geo, rest, table, plan, full) for table, rest, _ in tables]
+    items = [x for row in zip(*cols) for x in row]  # entry-major, the system axis last
+    return Tensor._built(check_shape(shape + (len(cols),)), items, vs)
 
 
 def _key(key) -> tuple[int, ...]:
@@ -88,12 +94,8 @@ def jacobi_form(forms, key, geo_vars) -> Tensor:
     The system axis is the last tensor axis; entry (J_1, ..., J_d, j) is the
     (J_1, ..., J_d) entry of the polarisation of the j-th form.
     """
-    forms = list(forms)
-    if not forms:
-        raise DomainError("empty system of forms")
     geo = form_vars(geo_vars)
-    forms, k = _system(forms, geo)
-    return _jacobi(forms, _key(key), geo, k)
+    return _jacobi(_system(forms, geo), _key(key), geo)
 
 
 def hyperresultant(forms, geo_vars) -> MultiPoly:
@@ -103,13 +105,10 @@ def hyperresultant(forms, geo_vars) -> MultiPoly:
     so this answers wherever ``hyperdet`` does: n linear forms in n <= 6
     variables, two or three binary quadratics and two binary cubics.
     """
-    forms = list(forms)
     geo = form_vars(geo_vars)
-    if not forms:
-        raise DomainError("empty system of forms")
-    forms, k = _system(forms, geo)
-    hyperdet_degree((len(geo),) * k + (len(forms),))  # refuse before any derivative
-    return hyperdet(_jacobi(forms, (1,) * k, geo, k))
+    tables, _, k = system = _system(forms, geo)
+    hyperdet_degree((len(geo),) * k + (len(tables),))  # refuse before any partial
+    return hyperdet(_jacobi(system, (1,) * k, geo))
 
 
 def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
@@ -119,8 +118,6 @@ def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
         raise DomainError(f"steps must be between 0 and {MAX_EXPONENT}, got {steps}")
     geo = form_vars(geo_vars)
     f = f.extend_vars(geo)
-    n = len(geo)
-    shape = check_shape((n,) * steps)
-    alphas = [tuple(map(idx.count, range(n))) for idx in itertools.product(range(n), repeat=steps)]
-    derivs = _derivatives(f, geo, alphas)
-    return Tensor._built(shape, [derivs[alpha] for alpha in alphas], f.vars)
+    table, rest, degs = f._table(geo, homogeneous=False)  # terms may have several degrees
+    shape, plan, full = _plan(len(geo), (1,) * steps, tuple(sorted(degs)))
+    return Tensor._built(shape, MultiPoly._partials(f.vars, geo, rest, table, plan, full), f.vars)

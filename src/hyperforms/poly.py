@@ -180,12 +180,7 @@ class MultiPoly:
 
     def homogeneous_degree_in(self, names) -> int:
         """Common degree of all terms in the given variables; error if mixed."""
-        idx = [self._position(v) for v in names]
-        degs = {sum(e[i] for i in idx) for e in self.terms}
-        if len(degs) > 1:
-            raise DomainError(
-                f"polynomial is not homogeneous in {tuple(names)}: degrees {sorted(degs)}")
-        return degs.pop() if degs else -1
+        return max(self._table(names)[2], default=-1)
 
     def uses(self, name: str) -> bool:
         i = self._position(name)
@@ -399,6 +394,55 @@ class MultiPoly:
 
     # -- structure ---------------------------------------------------------------
 
+    def _table(self, names, homogeneous=True):
+        """The terms grouped by their exponents in ``names`` in one pass: each group's coefficient
+        as an item (``lower``), the other variables, and the degrees in ``names`` seen, which
+        must be one when ``homogeneous``."""
+        names = tuple(names)
+        idx = [self._position(v) for v in names]
+        rest = [i for i in range(len(self.vars)) if i not in idx]
+        keep = tuple(self.vars[i] for i in rest)
+        if names == self.vars:  # the exponent is the key, the coefficient the item
+            table = dict(self.terms)
+        else:
+            groups = {}
+            for e, c in self.terms.items():
+                groups.setdefault(tuple(e[i] for i in idx), {})[tuple(e[i] for i in rest)] = c
+            table = {k: lower(MultiPoly._raw(keep, t)) for k, t in groups.items()}
+        if len(degs := set(map(sum, table))) > 1 and homogeneous:
+            raise DomainError(f"polynomial is not homogeneous in {names}: degrees {sorted(degs)}")
+        return table, keep, degs
+
+    @staticmethod
+    def _partials(variables, names, rest, table, plan, full) -> list:
+        """Per entry of a polarisation plan, the item on ``variables`` of sum k * c_g * x^beta over
+        its parts (g, beta, k), c_g read off a form's ``_table`` in ``names`` with the other
+        variables ``rest``; a ``full`` plan has one part per entry, with beta = 0."""
+        if full and not rest:  # each entry one lookup times alpha!
+            return [canonical(table.get(g, 0) * k) for ((g, _, k),) in plan]
+        items = []
+        for parts in plan:  # distinct betas, so no two terms share an exponent
+            terms = {beta + r: canonical(x * k) for g, beta, k in parts if g in table
+                     for r, x in lift(table[g], rest).terms.items()}
+            items.append(lower(MultiPoly._raw(names + rest, terms).with_vars(variables)))
+        return items
+
+    def _binary_items(self, xy, degree=None):
+        """The coefficient items [c_0, ..., c_d] of a binary form in ``xy`` and the other
+        variables, as ``binary_coefficients`` describes them."""
+        xy = binary_vars(xy)
+        if degree is not None and (degree := _index(degree)) < 0:
+            raise DomainError(f"degree must be >= 0, got {degree}")
+        table, rest, degs = self.extend_vars(xy)._table(xy)
+        d = max(degs, default=-1)
+        if degree is None:
+            if d < 0:
+                raise DomainError("zero polynomial needs an explicit degree")
+            degree = d
+        elif d not in (degree, -1):
+            raise DomainError(f"expected a binary form of degree {degree}, got degree {d}")
+        return [table.get((degree - i, i), 0) for i in range(degree + 1)], rest
+
     def binary_coefficients(self, xy, degree: int | None = None) -> list:
         """Coefficient list [c_0, ..., c_d] of a binary form in ``xy``, where
         c_i multiplies x^(d-i) * y^i and is a polynomial in the other variables.
@@ -406,29 +450,15 @@ class MultiPoly:
         A nonzero form must be homogeneous in ``xy``, of degree ``degree`` when
         that is given; the zero form has no degree of its own and needs it.
         """
-        xy = binary_vars(xy)
-        f = self.extend_vars(xy)
-        d = f.homogeneous_degree_in(xy)
-        if degree is None:
-            if d < 0:
-                raise DomainError("zero polynomial needs an explicit degree")
-            degree = d
-        elif d not in (degree, -1):
-            raise DomainError(f"expected a binary form of degree {degree}, got degree {d}")
-        groups = f.coefficients_in(xy)
-        zero = MultiPoly.zero(v for v in f.vars if v not in xy)
-        return [groups.get((degree - i, i), zero) for i in range(degree + 1)]
+        items, rest = self._binary_items(xy, degree)
+        return [lift(c, rest) for c in items]
 
     def coefficients_in(self, names) -> dict:
         """Each exponent tuple in ``names`` that occurs, mapped to its coefficient: the
-        polynomial in the other variables that multiplies it."""
-        idx = [self._position(v) for v in names]
-        rest = [i for i in range(len(self.vars)) if i not in idx]
-        groups = {}
-        for e, c in self.terms.items():
-            groups.setdefault(tuple(e[i] for i in idx), {})[tuple(e[i] for i in rest)] = c
-        keep = tuple(self.vars[i] for i in rest)
-        return {k: MultiPoly._raw(keep, t) for k, t in groups.items()}
+        polynomial in the other variables that multiplies it, lifted from the one-pass table
+        (``_table``) that the invariants and polarisations read as items."""
+        table, rest, _ = self._table(names, homogeneous=False)
+        return {k: lift(c, rest) for k, c in table.items()}
 
     # -- rendering ------------------------------------------------------------------
 

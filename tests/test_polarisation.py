@@ -254,9 +254,9 @@ def test_jacobi_keeps_variables_and_entry_order_of_stacked_polarisations():
 def test_each_form_degree_is_scanned_once(monkeypatch):
     # scans in the form variables; the Schlaefli chain scans its own forms in u
     calls = []
-    scan = MultiPoly.homogeneous_degree_in
-    monkeypatch.setattr(MultiPoly, "homogeneous_degree_in",
-                        lambda self, names: calls.append(tuple(names)) or scan(self, names))
+    scan = MultiPoly._table  # the one pass that reads a form's degree with its coefficients
+    monkeypatch.setattr(MultiPoly, "_table", lambda self, names, *rest:
+                        calls.append(tuple(names)) or scan(self, names, *rest))
     hyperresultant([P("x^3 + 2*x*y^2"), P("y^3 - x^2*y")], XY)
     assert calls.count(XY) == 2
     calls.clear()

@@ -1,5 +1,6 @@
 """Property tests: ring axioms, the multiply-accumulate kernel, one-pass
-derivatives against iterated partials, exact division and exact quotients
+derivatives and polarisation entries against iterated partials, binary coefficients
+and coefficient groups against lookup by exponent, exact division and exact quotients
 over mixed ``int``, ``Fraction`` and ``zeta6`` coefficients, the field
 axioms of ``Cyclotomic`` and its subtraction, the print/parse round trip of ``zeta<m>``
 coefficients, tensor JSON that reads back whichever door built the tensor, printed
@@ -39,10 +40,11 @@ from hyperforms.gramm import project_k  # noqa: E402
 from hyperforms.hyperdet import (  # noqa: E402
     binary_form_disc, cayley_hyperdet_222, det_rows, hyperdet, hyperdet_degree)
 from hyperforms.parser import parse_poly  # noqa: E402
-from hyperforms.polarisation import hyperresultant  # noqa: E402
-from hyperforms.poly import MultiPoly, merge_vars  # noqa: E402
+from hyperforms.polarisation import (  # noqa: E402
+    hyperresultant, jacobi_form, jacobi_sequence, polarize)
+from hyperforms.poly import MultiPoly, lower, merge_vars  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
-from hyperforms.tensor import Tensor, fresh_names  # noqa: E402
+from hyperforms.tensor import Tensor, fresh_names, multi_indices  # noqa: E402
 
 from parser_oracle import parse_poly as oracle_parse  # noqa: E402
 from partials import derivative as iterated_derivative  # noqa: E402
@@ -377,6 +379,105 @@ def test_derivative_matches_iterated_partials(case):
     p, names, orders = case
     got, want = p.derivative(names, orders), iterated_derivative(p, names, orders)
     assert (got.vars, got.terms) == (p.vars, want.terms)
+
+
+@st.composite
+def forms_in(draw, geo, degree, homogeneous=True):
+    """A form of ``degree`` in ``geo`` (of any degree up to it unless ``homogeneous``), zero
+    or not, with int, Fraction and zeta6 coefficients and 0-2 coefficient variables, on a
+    variable tuple in any order that may lack one name of ``geo``."""
+    extra = draw(st.sampled_from([(), ("a",), ("b",), ("a", "b")]))
+    lacking = draw(st.sampled_from((None,) + geo))
+    vs = tuple(draw(st.permutations([v for v in geo if v != lacking] + list(extra))))
+    present = [v for v in vs if v in geo]
+    geo_exps = st.integers(degree if homogeneous else 0, degree).flatmap(
+        lambda d: st.sampled_from(multi_indices(len(present), d)))
+    terms = draw(st.dictionaries(st.tuples(geo_exps, st.tuples(*[st.integers(0, 2)] * len(extra))),
+                                 scalars, max_size=4))
+    exps = [dict(zip(present, g)) | dict(zip(extra, c)) for g, c in terms]
+    return MultiPoly(vs, {tuple(e[v] for v in vs): c for e, c in zip(exps, terms.values())})
+
+
+@st.composite
+def polarisation_cases(draw):
+    # two forms of one degree, a key of weight below or equal to it, and a form whose
+    # terms may have several degrees for the iterated gradient
+    geo = draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+    d = draw(st.integers(1, 3))
+    f, g = draw(forms_in(geo, d)), draw(forms_in(geo, d))
+    assume(not f.is_zero() and not g.is_zero())
+    key, weight = [], draw(st.integers(1, d))
+    while sum(key) < weight:  # a slot of degree 3 in three variables would have 10 > 8 rows
+        key.append(draw(st.integers(1, min(weight - sum(key), 5 - len(geo)))))
+    h = draw(forms_in(geo, d, homogeneous=False))
+    return geo, tuple(key), f, g, h, draw(st.integers(0, d + 1))
+
+
+def _assert_partials(t, forms, alphas, geo):
+    # item by item: the iterated partial by alpha of each form, lowered, on the tensor's vars
+    assert t.vars == merge_vars(f.extend_vars(geo).vars for f in forms)
+    want = [lower(iterated_derivative(f.extend_vars(geo), geo, a)) for a in alphas for f in forms]
+    assert len(t._items) == len(want)
+    for got, w in zip(t._items, want):
+        assert type(got) is type(w) and got == w, (got, w)
+        assert type(got) is not MultiPoly or got.vars == t.vars
+
+
+@bounded
+@given(polarisation_cases())
+@example((("x", "y"), (1,), parse_poly("a*x^2", ("a", "x")), parse_poly("b*x*y", ("b", "y", "x")),
+          parse_poly("x + a*y^2", ("y", "a", "x")), 2))  # vars a, x, y, b: not b before y
+@example((("x", "y"), (1, 1), parse_poly("1/2*x^2 - 3/2*y^2", ("x", "y")),
+          parse_poly("1/2*x*y", ("y", "x")), MultiPoly.zero(("x", "y")), 0))  # 2 * 1/2 is the int 1
+def test_polarisation_entries_are_iterated_partials(case):
+    geo, key, f, g, h, steps = case
+    n = len(geo)
+    alphas = [tuple(map(sum, zip(*combo)))
+              for combo in itertools.product(*(multi_indices(n, k) for k in key))]
+    _assert_partials(polarize(f, key, geo), [f], alphas, geo)
+    _assert_partials(jacobi_form([f, g], key, geo), [f, g], alphas, geo)
+    gradients = [tuple(map(idx.count, range(n)))
+                 for idx in itertools.product(range(n), repeat=steps)]
+    _assert_partials(jacobi_sequence(h, steps, geo), [h], gradients, geo)
+
+
+XY = ("x", "y")
+
+
+@st.composite
+def coefficient_cases(draw):
+    # binary forms with zero coefficients, coefficient variables, the zero form; any names
+    f = draw(forms_in(XY, d := draw(st.integers(0, 4))))
+    names = draw(st.permutations(f.vars))[:draw(st.integers(0, len(f.vars)))]
+    return f, d, tuple(names)
+
+
+def _lookup(p, names):
+    """Each exponent tuple in ``names`` of a term of ``p``, mapped to the polynomial in the
+    other variables of the terms that carry it, read off ``p.terms`` by position."""
+    keep = tuple(v for v in p.vars if v not in names)
+    groups = {}
+    for e, c in p.terms.items():
+        at = dict(zip(p.vars, e))
+        groups.setdefault(tuple(at[v] for v in names), {})[tuple(at[v] for v in keep)] = c
+    return {k: MultiPoly(keep, t) for k, t in groups.items()}
+
+
+@bounded
+@given(coefficient_cases())
+@example((MultiPoly.zero(("a", "x", "y")), 3, ("a",)))
+@example((parse_poly("x^4 - a*y^4", ("x", "a", "y")), 4, ("y", "x")))
+def test_binary_coefficients_and_coefficients_in_are_lookups_by_exponent(case):
+    f, d, names = case
+    by_xy = _lookup(f.extend_vars(XY), XY)
+    rest = tuple(v for v in f.extend_vars(XY).vars if v not in XY)
+    want = [by_xy.get((d - i, i), MultiPoly.zero(rest)) for i in range(d + 1)]
+    for degree in (d, None) if f else (d,):
+        got = f.binary_coefficients(XY, degree)
+        assert [(c.vars, c.terms) for c in got] == [(w.vars, w.terms) for w in want]
+    got, want = f.coefficients_in(names), _lookup(f, names)
+    assert {k: (c.vars, c.terms) for k, c in got.items()} == {
+        k: (w.vars, w.terms) for k, w in want.items()}
 
 
 @bounded

@@ -4,7 +4,7 @@ its exception type with its one-line message, word for word."""
 import pytest
 
 from hyperforms.errors import DomainError
-from hyperforms.hyperdet import cayley_hyperdet_222, det_rows
+from hyperforms.hyperdet import binary_form_disc, cayley_hyperdet_222, det_rows
 from hyperforms.parser import parse_poly
 from hyperforms.polarisation import hyperresultant, jacobi_form, polarize
 from hyperforms.poly import MultiPoly
@@ -91,6 +91,19 @@ REFUSALS = [
     ("polarize_on_an_unreadable_form_variable", lambda: polarize(
         parse_poly("x^2+y^2", ("x", "y")), (1,), ("x", "y", "w z")),
      ValueError, "variable name 'w z' is not an ASCII identifier"),
+    # a declared degree is an integer, read with operator.index, and not negative
+    ("binary_coefficients_of_negative_degree",
+     lambda: MultiPoly.zero(("x", "y")).binary_coefficients(("x", "y"), -1),
+     DomainError, "degree must be >= 0, got -1"),
+    ("binary_coefficients_of_float_degree", lambda: X.binary_coefficients(("x", "y"), 1.0),
+     TypeError, "'float' object cannot be interpreted as an integer"),
+    ("binary_coefficients_of_bool_degree",
+     lambda: (X * X * X).binary_coefficients(("x", "y"), True),
+     DomainError, "expected a binary form of degree 1, got degree 3"),
+    ("binary_form_disc_of_float_degree", lambda: binary_form_disc(X * X * X, ("x", "y"), 3.0),
+     TypeError, "'float' object cannot be interpreted as an integer"),
+    ("binary_form_disc_of_bool_degree", lambda: binary_form_disc(X * X, ("x", "y"), True),
+     DomainError, "discriminant needs degree >= 2, limited to degree 32; got 1"),
 ]
 
 
