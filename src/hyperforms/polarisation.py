@@ -3,9 +3,10 @@
 ``polarize`` maps a degree-k form to the tensor of its raw iterated partial
 derivatives indexed by degree-k_i multi-indices (no factorial normalisation,
 so the classical coefficient tables are reproduced literally).  Each form is read
-once into a table of its coefficients c_g by exponent g (``MultiPoly._table``), and
-each entry off a plan cached per layout: the partial by alpha is the sum over beta of
-perm(alpha + beta, alpha) * c_(alpha+beta) * x^beta, at full order one lookup times alpha!.
+once into a table of its coefficients c_g by exponent g (``MultiPoly._table``), which
+also checks its degree.  At full order (the key's weight is the degree) the entry by
+alpha is alpha! * c_alpha, one lookup; below it each distinct total multi-index costs
+one pass over the form's terms (``MultiPoly.derivative``).
 It is the Jacobi form of a one-form system; hyperhessians, hyperresultants and
 the iterated-gradient sequence are thin layers over the same step.
 """
@@ -20,46 +21,51 @@ import operator
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
 from .parser import MAX_EXPONENT
-from .poly import MultiPoly, form_vars, merge_vars
+from .poly import MultiPoly, form_vars, lower, merge_vars
+from .scalars import canonical
 from .tensor import Tensor, check_shape, multi_indices
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(n: int, key: tuple[int, ...], degrees: tuple[int, ...]):
-    """Shape of a polarisation by ``key`` in n variables of a form with terms of ``degrees``,
-    the parts (g = alpha + beta, beta, perm(g, alpha)) of each row-major entry's partial by
-    alpha, and whether every entry is one part with beta = 0 (full order)."""
+def _layout(n: int, key: tuple[int, ...]):
+    """Shape, row-major total multi-indices and each one's alpha! of a polarisation by ``key``."""
     shape = check_shape(math.comb(n + km - 1, km) for km in key)  # multi-indices per slot
-    alphas = [tuple(map(sum, zip((0,) * n, *combo)))
-              for combo in itertools.product(*(multi_indices(n, km) for km in key))]
-    parts = {a: tuple(((g := tuple(map(operator.add, a, b))), b, math.prod(map(math.perm, g, a)))
-                      for d in degrees if d >= sum(a)
-                      for b in (multi_indices(n, d - sum(a)) if n else [()]))
-             for a in set(alphas)}
-    full = all(len(p) == 1 and not any(p[0][1]) for p in parts.values())
-    return shape, tuple(parts[a] for a in alphas), full
+    alphas = tuple(tuple(map(sum, zip((0,) * n, *combo)))
+                   for combo in itertools.product(*(multi_indices(n, km) for km in key)))
+    return shape, alphas, tuple(math.prod(map(math.factorial, a)) for a in alphas)
+
+
+def _partials(f, table, geo, vs, alphas, weights, full: bool) -> list:
+    """The partial of ``f`` by each alpha over ``geo`` as an item on ``vs``: at ``full`` order
+    alpha! * c_alpha read off the form's table, else one pass over its terms per distinct alpha."""
+    if full:
+        return [canonical(c * w) if type(c := table.get(a, 0)) is not MultiPoly
+                else (c * w).with_vars(vs) for a, w in zip(alphas, weights)]
+    f = f.with_vars(vs)
+    derivs = {a: lower(f.derivative(geo, a)) for a in set(alphas)}
+    return [derivs[a] for a in alphas]
 
 
 def _system(forms, geo):
-    # one table per form, the forms' variables covering geo, and their common degree
+    # the forms on variables covering geo, one table each, their variables and common degree
     if not (forms := [f.extend_vars(geo) for f in forms]):
         raise DomainError("empty system of forms")
-    tables = []
+    system = []
     for f in forms:
         if not (table := f._table(geo))[2]:
             raise DomainError("the zero polynomial has no well-defined form degree")
-        tables.append(table)
-    if len(degs := set().union(*(t[2] for t in tables))) != 1:
+        system.append((f, *table))
+    if len(degs := set().union(*(s[3] for s in system))) != 1:
         raise DomainError(f"system mixes degrees {sorted(degs)}")
-    return tables, merge_vars(f.vars for f in forms), degs.pop()
+    return system, merge_vars(f.vars for f in forms), degs.pop()
 
 
 def _jacobi(system, key, geo) -> Tensor:
-    tables, vs, k = system
+    forms, vs, k = system
     if (total := sum(key)) > k:
         raise DomainError(f"key weight {total} exceeds form degree {k}")
-    shape, plan, full = _plan(len(geo), key, (k,))
-    cols = [MultiPoly._partials(vs, geo, rest, table, plan, full) for table, rest, _ in tables]
+    shape, alphas, weights = _layout(len(geo), key)
+    cols = [_partials(f, table, geo, vs, alphas, weights, total == k) for f, table, _, _ in forms]
     items = [x for row in zip(*cols) for x in row]  # entry-major, the system axis last
     return Tensor._built(check_shape(shape + (len(cols),)), items, vs)
 
@@ -106,8 +112,8 @@ def hyperresultant(forms, geo_vars) -> MultiPoly:
     variables, two or three binary quadratics and two binary cubics.
     """
     geo = form_vars(geo_vars)
-    tables, _, k = system = _system(forms, geo)
-    hyperdet_degree((len(geo),) * k + (len(tables),))  # refuse before any partial
+    forms, _, k = system = _system(forms, geo)
+    hyperdet_degree((len(geo),) * k + (len(forms),))  # refuse before any partial
     return hyperdet(_jacobi(system, (1,) * k, geo))
 
 
@@ -118,6 +124,7 @@ def jacobi_sequence(f: MultiPoly, steps: int, geo_vars) -> Tensor:
         raise DomainError(f"steps must be between 0 and {MAX_EXPONENT}, got {steps}")
     geo = form_vars(geo_vars)
     f = f.extend_vars(geo)
-    table, rest, degs = f._table(geo, homogeneous=False)  # terms may have several degrees
-    shape, plan, full = _plan(len(geo), (1,) * steps, tuple(sorted(degs)))
-    return Tensor._built(shape, MultiPoly._partials(f.vars, geo, rest, table, plan, full), f.vars)
+    table, _, degs = f._table(geo, homogeneous=False)  # terms may have several degrees
+    shape, alphas, weights = _layout(len(geo), (1,) * steps)
+    full = max(degs, default=0) <= steps  # terms of lower degree have no partial of this order
+    return Tensor._built(shape, _partials(f, table, geo, f.vars, alphas, weights, full), f.vars)

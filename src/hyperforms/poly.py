@@ -84,6 +84,13 @@ def lift(x, variables) -> "MultiPoly":
     return x.with_vars(variables) if type(x) is MultiPoly else MultiPoly.constant(x, variables)
 
 
+def _degrees(names, exps, homogeneous=True) -> set:
+    """The degrees of exponent tuples ``exps`` in ``names``, one only when ``homogeneous``."""
+    if len(degs := set(map(sum, exps))) > 1 and homogeneous:
+        raise DomainError(f"polynomial is not homogeneous in {names}: degrees {sorted(degs)}")
+    return degs
+
+
 def _coerce_coeff(c):
     if isinstance(c, int):
         return int(c)  # a bool becomes a plain int
@@ -180,7 +187,9 @@ class MultiPoly:
 
     def homogeneous_degree_in(self, names) -> int:
         """Common degree of all terms in the given variables; error if mixed."""
-        return max(self._table(names)[2], default=-1)
+        idx = list(map(self._position, names := tuple(names)))
+        degs = _degrees(names, (tuple(e[i] for i in idx) for e in self.terms))
+        return max(degs, default=-1)
 
     def uses(self, name: str) -> bool:
         i = self._position(name)
@@ -409,23 +418,7 @@ class MultiPoly:
             for e, c in self.terms.items():
                 groups.setdefault(tuple(e[i] for i in idx), {})[tuple(e[i] for i in rest)] = c
             table = {k: lower(MultiPoly._raw(keep, t)) for k, t in groups.items()}
-        if len(degs := set(map(sum, table))) > 1 and homogeneous:
-            raise DomainError(f"polynomial is not homogeneous in {names}: degrees {sorted(degs)}")
-        return table, keep, degs
-
-    @staticmethod
-    def _partials(variables, names, rest, table, plan, full) -> list:
-        """Per entry of a polarisation plan, the item on ``variables`` of sum k * c_g * x^beta over
-        its parts (g, beta, k), c_g read off a form's ``_table`` in ``names`` with the other
-        variables ``rest``; a ``full`` plan has one part per entry, with beta = 0."""
-        if full and not rest:  # each entry one lookup times alpha!
-            return [canonical(table.get(g, 0) * k) for ((g, _, k),) in plan]
-        items = []
-        for parts in plan:  # distinct betas, so no two terms share an exponent
-            terms = {beta + r: canonical(x * k) for g, beta, k in parts if g in table
-                     for r, x in lift(table[g], rest).terms.items()}
-            items.append(lower(MultiPoly._raw(names + rest, terms).with_vars(variables)))
-        return items
+        return table, keep, _degrees(names, table, homogeneous)
 
     def _binary_items(self, xy, degree=None):
         """The coefficient items [c_0, ..., c_d] of a binary form in ``xy`` and the other

@@ -406,6 +406,23 @@ def test_jacobi_sequence_steps_are_bounded():
             jacobi_sequence(P("x*y"), steps, XY)
 
 
+def test_sparse_high_degree_form_polarises_from_its_terms():
+    # six terms of degree 64 in six variables: a partial below full order is one pass over
+    # the terms, never a walk over the C(68, 5) monomials of degree 63 it could have; in a
+    # child with a 1 GB address space and a timeout, a regression fails fast
+    script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+              "from hyperforms.parser import parse_poly; "
+              "from hyperforms.polarisation import jacobi_form, jacobi_sequence, polarize; "
+              "g = tuple('abcdef'); f = parse_poly('+'.join(v + '^64' for v in g), g); "
+              "print(polarize(f, (1,), g)[(0,)], jacobi_form([f, f], (1,), g)[(5, 1)], "
+              "jacobi_sequence(f, 2, g)[(5, 5)], sep='; ')")
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperforms.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "64*a^63; 64*f^63; 4032*f^62\n"
+
+
 def test_jacobi_sequence_refuses_huge_steps_before_building_a_shape():
     # (2,) * 10**8 alone is 800 MB; in a child with a 1 GB address space and a
     # timeout, a regression fails fast instead of hanging or swapping

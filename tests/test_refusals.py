@@ -104,6 +104,10 @@ REFUSALS = [
      TypeError, "'float' object cannot be interpreted as an integer"),
     ("binary_form_disc_of_bool_degree", lambda: binary_form_disc(X * X, ("x", "y"), True),
      DomainError, "discriminant needs degree >= 2, limited to degree 32; got 1"),
+    # names given once as an iterator are read once, and the message still names them
+    ("homogeneous_degree_in_names_iterator", lambda: (X * X + MultiPoly.variable("y", ("x", "y")))
+     .homogeneous_degree_in(iter(("x", "y"))),
+     DomainError, "polynomial is not homogeneous in ('x', 'y'): degrees [1, 2]"),
 ]
 
 
