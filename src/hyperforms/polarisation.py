@@ -20,8 +20,7 @@ import operator
 
 from .errors import DomainError
 from .hyperdet import hyperdet, hyperdet_degree
-from .parser import MAX_EXPONENT
-from .poly import MultiPoly, form_vars, lower, merge_vars
+from .poly import MAX_EXPONENT, MultiPoly, form_vars, lower, merge_vars
 from .scalars import canonical
 from .tensor import Tensor, check_shape, multi_indices
 
@@ -85,7 +84,8 @@ def polarize(f: MultiPoly, key, geo_vars) -> Tensor:
     Every entry is homogeneous of degree k - (k_1 + ... + k_d) in the
     geometric variables, and slots with equal k_i may be exchanged freely.
     """
-    t = jacobi_form([f], _key(key), geo_vars)
+    key, geo = _key(key), form_vars(geo_vars)
+    t = _jacobi(_system([f], geo), key, geo)
     return Tensor._built(t.shape[:-1], t._items, t.vars)
 
 

@@ -25,6 +25,9 @@ from .scalars import Cyclotomic, canonical, exact_quotient, power, render
 COEFF_TYPES = (int, Fraction, Cyclotomic)
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a variable name, as the parser reads names
 ZETA = re.compile(r"zeta([1-9][0-9]*)$")  # the root of unity zeta<m>, never a variable
+# The parser's limit on exponents and degrees, before powers and products are expanded;
+# binary forms and iterated gradients are refused above it before a list is built.
+MAX_EXPONENT = 64
 
 
 def _grlex(exps: tuple[int, ...]):
@@ -434,6 +437,8 @@ class MultiPoly:
             degree = d
         elif d not in (degree, -1):
             raise DomainError(f"expected a binary form of degree {degree}, got degree {d}")
+        if degree > MAX_EXPONENT:
+            raise DomainError(f"degree must be <= {MAX_EXPONENT}, got {degree}")
         return [table.get((degree - i, i), 0) for i in range(degree + 1)], rest
 
     def binary_coefficients(self, xy, degree: int | None = None) -> list:
@@ -441,7 +446,8 @@ class MultiPoly:
         c_i multiplies x^(d-i) * y^i and is a polynomial in the other variables.
 
         A nonzero form must be homogeneous in ``xy``, of degree ``degree`` when
-        that is given; the zero form has no degree of its own and needs it.
+        that is given; the zero form has no degree of its own and needs it.  A degree
+        above ``MAX_EXPONENT`` is refused before any coefficient is listed.
         """
         items, rest = self._binary_items(xy, degree)
         return [lift(c, rest) for c in items]

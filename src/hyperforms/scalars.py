@@ -130,10 +130,14 @@ class Cyclotomic:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
+        # a sum of reduced vectors is reduced: no division by Phi_m, only _make's demotion
+        if isinstance(other, RATIONAL_TYPES):  # a constant never cancels zeta, so no demotion
+            return Cyclotomic(self.order, (canonical(self.coeffs[0] + other),) + self.coeffs[1:])
         o = self._embed(other)
         if o is None:
             return NotImplemented
-        return self._make(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        cs = [canonical(a + b) for a, b in zip(self.coeffs, o.coeffs)]
+        return Cyclotomic(self.order, tuple(cs)) if any(cs[1:]) else Fraction(cs[0])
 
     __radd__ = __add__
 
@@ -232,6 +236,7 @@ def render(terms) -> str:
     return "".join(out) or "0"
 
 
+@lru_cache(maxsize=None)  # at most MAX_ORDER values, all immutable
 def zeta(m: int):
     """A primitive m-th root of unity (a plain rational for m = 1, 2), m <= MAX_ORDER."""
     if m > MAX_ORDER:

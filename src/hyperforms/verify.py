@@ -380,7 +380,7 @@ def suite_parser(rng, trials, bound):
             if rng.random() < 0.2:
                 coeff = coeff * zeta6_powers[rng.randint(1, 5)]
             if coeff:
-                terms[exps] = terms.get(exps, Fraction(0)) + coeff
+                terms[exps] = terms[exps] + coeff if exps in terms else coeff
         p = MultiPoly(variables, terms)
         text = str(p)
         back = parse_poly(text, variables)

@@ -3,6 +3,7 @@ its exception type with its one-line message, word for word."""
 
 import pytest
 
+from hyperforms.classical import sylvester_resultant
 from hyperforms.errors import DomainError
 from hyperforms.hyperdet import binary_form_disc, cayley_hyperdet_222, det_rows
 from hyperforms.parser import parse_poly
@@ -108,6 +109,23 @@ REFUSALS = [
     ("homogeneous_degree_in_names_iterator", lambda: (X * X + MultiPoly.variable("y", ("x", "y")))
      .homogeneous_degree_in(iter(("x", "y"))),
      DomainError, "polynomial is not homogeneous in ('x', 'y'): degrees [1, 2]"),
+    # a binary form's degree is bounded as the parser bounds it, before a list of
+    # degree + 1 coefficients is built, whether it is declared or read off the terms
+    ("binary_coefficients_above_the_degree_limit",
+     lambda: MultiPoly.zero(("x", "y")).binary_coefficients(("x", "y"), 65),
+     DomainError, "degree must be <= 64, got 65"),
+    ("binary_coefficients_of_a_huge_declared_degree",
+     lambda: MultiPoly.zero(("x", "y")).binary_coefficients(("x", "y"), 10**9),
+     DomainError, "degree must be <= 64, got 1000000000"),
+    ("binary_coefficients_of_a_term_above_the_degree_limit",
+     lambda: MultiPoly(("x", "y"), {(65, 0): 1}).binary_coefficients(("x", "y")),
+     DomainError, "degree must be <= 64, got 65"),
+    ("binary_form_disc_of_a_term_above_the_degree_limit",
+     lambda: binary_form_disc(MultiPoly(("x", "y"), {(3, 10**9): 1})),
+     DomainError, "degree must be <= 64, got 1000000003"),
+    ("sylvester_resultant_of_a_term_above_the_degree_limit",
+     lambda: sylvester_resultant(MultiPoly(("x", "y"), {(0, 65): 1}), X),
+     DomainError, "degree must be <= 64, got 65"),
 ]
 
 
