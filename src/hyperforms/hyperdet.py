@@ -3,18 +3,16 @@
 Square matrices go through exact fraction-free elimination, entry by entry on
 items, so constants and polynomials mix in one matrix.  The genuinely
 multidimensional formats (2x2x2, 2x2x3 in any axis order, 2x2x2x2) are
-computed by one recursive Schlaefli step: the hyperdeterminant F(u) of the
-pencil sum_j u_j * A_j of the slices along the longest axis (a determinant,
-or again a Schlaefli step) is a form in u, and its discriminant is the result.
-The split (slice shape, slice offsets, degree of F) is planned once per format.
-F is read off a few evaluations, not built in fresh variables: a binary form
-from F(1, t) at t = 0..D by Newton divided differences, a ternary quadratic
-as its Hessian from F at e_i and e_i + e_j.  The pencil of two 2x2 slices is
-read in closed form: det(A + tB) = det A + (a0 b3 + b0 a3 - a1 b2 - b1 a2) t
-+ det B t^2.  A hardcoded degree-4 expansion for 2x2x2 cross-checks the
-recursion.  Entries and coefficients are computed as items (``poly.lower``): a
-constant as its value (``int``, ``Fraction``, ``Cyclotomic``), anything else as a
-polynomial; each public function lowers its input once and lifts its result once.
+computed by one Schlaefli step: the hyperdeterminant F(u) of the pencil
+sum_j u_j * A_j of the slices along the longest axis is a form in u, and its
+discriminant is the result.  F is written, not built in fresh variables, from the
+mixed determinants m(A, B) = a0 b3 + b0 a3 - a1 b2 - b1 a2 of the 2x2 slices at
+the bottom (m(A, A) = 2 det A): a binary quadratic or quartic, or for three
+slices the ternary quadratic with Hessian H_ij = m(A_i, A_j).  Cayley's degree-4
+expansion of 2x2x2 cross-checks the step.  Entries and coefficients are items
+(``poly.lower``): a constant as its value (``int``, ``Fraction``, ``Cyclotomic``),
+anything else as a polynomial; each public function lowers its input once and
+lifts its result once.
 
 Binary discriminants of degree 2, 3 and 4 use the classical closed forms in
 the coefficients.  Degrees 5 to 32, and resultants of forms of any degrees
@@ -30,7 +28,7 @@ import operator
 
 from .errors import DomainError, UnsupportedFormatError
 from .poly import MultiPoly, lift, lower, merge_vars
-from .scalars import exact_quotient
+from .scalars import canonical, exact_quotient
 from .tensor import Tensor, check_shape
 
 
@@ -213,8 +211,9 @@ def ternary_quadratic_disc(q: MultiPoly, uvw=("u0", "u1", "u2")) -> MultiPoly:
     if (d := max(degs, default=-1)) not in (2, -1):
         raise DomainError(f"expected a quadratic in {tuple(uvw)}, got degree {d}")
     n = range(len(uvw))
-    return det_rows([[lift(c.get(tuple(map((i, j).count, n)), 0), rest) * (2 if i == j else 1)
-                      for j in n] for i in n])
+    h = [[canonical(c.get(tuple(map((i, j).count, n)), 0) * (2 if i == j else 1)) for j in n]
+         for i in n]
+    return lift(_det(h) if h else 1, rest)
 
 
 # -- hyperdeterminants ----------------------------------------------------------
@@ -246,52 +245,51 @@ def cayley_hyperdet_222(t: Tensor) -> MultiPoly:
 
 @functools.lru_cache(maxsize=None)
 def _split(shape):
-    """The shape of the slices along the longest axis of ``shape`` (ties to the highest
-    index, so 2x2x3 in any axis order splits its 3-axis), a getter of each slice's
-    row-major offsets, and the degree of the pencil's form; cached per format."""
+    """The slice shape along the longest axis (ties to the highest index, so 2x2x3 in any
+    axis order splits its 3-axis) and a getter of each slice's row-major offsets, per format."""
     axis = len(shape) - 1 - shape[::-1].index(max(shape))
     sub, n, inner = shape[:axis] + shape[axis + 1:], shape[axis], math.prod(shape[axis + 1:])
     return sub, [operator.itemgetter(*(i for i in range(math.prod(shape)) if i // inner % n == j))
-                 for j in range(n)], hyperdet_degree(sub)
+                 for j in range(n)]
+
+
+def _mixed(a, b):
+    """The mixed determinant m(A, B) of 2x2 slices, so that m(A, A) = 2 det A."""
+    return a[0] * b[3] + b[0] * a[3] - a[1] * b[2] - b[1] * a[2]
+
+
+def _pencil(a, b):
+    """The coefficients of det(A + tB) = det A + m(A, B) t + det B t^2 for 2x2 slices."""
+    return [a[0] * a[3] - a[1] * a[2], _mixed(a, b), b[0] * b[3] - b[1] * b[2]]
 
 
 def _schlaefli(shape, xs):
     """Hyperdeterminant of the row-major items ``xs`` on a supported ``shape``."""
-    if shape == (2, 2):
-        a, b, c, d = xs
-        return a * d - b * c
     if len(shape) == 2:
         return _det([xs[i:i + shape[0]] for i in range(0, len(xs), shape[0])])
-    sub, getters, degree = _split(shape)
+    sub, getters = _split(shape)
     parts = [get(xs) for get in getters]
-    if len(parts) == 3:  # a ternary quadratic: H_ii = 2F(e_i), H_ij = F(e_i+e_j) - F(e_i) - F(e_j)
-        f = [_schlaefli(sub, a) for a in parts]
-        # g[k] = F(e_i + e_j) for the pair {i, j} that leaves out k, that is k = 3 - i - j
-        g = [_schlaefli(sub, [x + y for x, y in zip(parts[k - 1], parts[k - 2])]) for k in range(3)]
-        return _det([[2 * f[i] if i == j else g[3 - i - j] - f[i] - f[j] for j in range(3)]
-                     for i in range(3)])
-    a, b = parts
-    if sub == (2, 2):  # det(A + tB) = det A + (a0 b3 + b0 a3 - a1 b2 - b1 a2) t + det B t^2
-        return _closed_form_disc([a[0] * a[3] - a[1] * a[2],
-                                  a[0] * b[3] + b[0] * a[3] - a[1] * b[2] - b[1] * a[2],
-                                  b[0] * b[3] - b[1] * b[2]])
-    # F(1, t) = sum_i c_i t^i at t = 0..D; Newton divided differences, then monomials
-    c = [_schlaefli(sub, [x + t * y for x, y in zip(a, b)] if t else a) for t in range(degree + 1)]
-    for k in range(1, degree + 1):
-        for i in range(degree, k - 1, -1):
-            c[i] = exact_quotient(c[i] - c[i - 1], k)
-    cs = [c[degree]]
-    for k in range(degree - 1, -1, -1):  # cs(t) * (t - k) + c_k
-        cs = [c[k] - k * cs[0]] + [cs[j - 1] - k * cs[j] for j in range(1, len(cs))] + [cs[-1]]
-    return _closed_form_disc(cs)
+    if len(parts) == 3:  # F(u) = det(sum u_i A_i) has the Hessian H_ij = m(A_i, A_j)
+        return _det([[_mixed(a, b) for b in parts] for a in parts])
+    if sub == (2, 2):
+        return _closed_form_disc(_pencil(*parts))
+    # halves a0, a1 and b0, b1 of A and B: F(1, t) = q^2 - 4pr, with q = m(a0 + t b0, a1 + t b1)
+    (a0, a1), (b0, b1) = ([get(p) for get in _split(sub)[1]] for p in parts)
+    p, r = _pencil(a0, b0), _pencil(a1, b1)
+    q = _mixed(a0, a1), _mixed(a0, b1) + _mixed(b0, a1), _mixed(b0, b1)
+    f = [0] * 5
+    for i in range(3):
+        for j in range(3):
+            f[i + j] += q[i] * q[j] - 4 * (p[i] * r[j])
+    return _closed_form_disc(f)
 
 
 def hyperdet(t: Tensor) -> MultiPoly:
     """Hyperdeterminant of a tensor on a supported format.
 
     k x k matrices give the determinant; 2x2x2, 2x2x3 (any axis order) and
-    2x2x2x2 go through the recursive Schlaefli step.  Raises as
-    ``hyperdet_degree`` does on formats outside that set.
+    2x2x2x2 go through one Schlaefli step, written from the mixed determinants
+    of their 2x2 slices.  Raises as ``hyperdet_degree`` does on formats outside that set.
     """
     hyperdet_degree(t.shape)
     return lift(_schlaefli(t.shape, t._items), t.vars)

@@ -125,7 +125,8 @@ class _Parser:
                 if not (t := tokens[k]).isdecimal():
                     raise self.error("exponent must be a non-negative integer", k)
                 self.i = k + 1
-                m = int(t) if len(t.lstrip("0")) <= 2 else None  # no int() of a huge string
+                # all but the last two digits zero (of any script): no int() of a huge string
+                m = None if len(t) > 2 and any(map(int, t[:-2])) else int(t[-2:])
                 if m is None or m > MAX_EXPONENT or m * d > MAX_EXPONENT:
                     raise self.error(
                         f"power exceeds the exponent and degree limit {MAX_EXPONENT}", k)

@@ -50,11 +50,11 @@ def _readable(vs: tuple) -> tuple[str, ...]:
     if len(set(vs)) != len(vs):
         raise ValueError(f"duplicate variable names in {vs}")
     for v in vs:
-        if type(v) is not str or not NAME.fullmatch(v):
+        if not isinstance(v, str) or not NAME.fullmatch(v):
             raise ValueError(f"variable name {v!r} is not an ASCII identifier")
         if ZETA.match(v):
             raise ValueError(f"variable name {v!r} is reserved for roots of unity")
-    return vs
+    return tuple(map(str.__str__, vs))  # plain str, as a hit on an equal cached tuple gives
 
 
 def form_vars(names) -> tuple[str, ...]:
@@ -211,7 +211,8 @@ class MultiPoly:
         """Reindex onto a variable tuple that must cover every used variable."""
         if (vs := tuple(variables)) == self.vars:
             return self
-        pos = {v: i for i, v in enumerate(_readable(vs))}
+        vs = _readable(vs)
+        pos = {v: i for i, v in enumerate(vs)}
         missing = [v for v in self.vars if v not in pos and self.uses(v)]
         if missing:
             raise ValueError(f"target variables {vs} drop used variables {missing}")

@@ -12,6 +12,7 @@ string.
 from __future__ import annotations
 
 import re
+import unicodedata
 from fractions import Fraction
 from math import factorial
 
@@ -124,7 +125,9 @@ class _Parser:
             if kind != "number" or "/" in text:
                 raise ParseError("exponent must be a non-negative integer", pos)
             self.take()
-            n = int(text) if len(text.lstrip("0")) <= 2 else None  # no int() of a huge string
+            # leading zeros of any decimal script count for nothing; no int() of a huge string
+            digits = text.lstrip("".join(ch for ch in text if unicodedata.decimal(ch) == 0))
+            n = int(digits or "0") if len(digits) <= 2 else None
             if n is None or n > MAX_EXPONENT or n * p.total_degree() > MAX_EXPONENT:
                 raise ParseError(f"power exceeds the exponent and degree limit {MAX_EXPONENT}",
                                  pos)

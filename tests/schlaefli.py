@@ -1,11 +1,11 @@
 """Oracles for the Schlaefli step of ``hyperdet`` on the multidimensional formats.
 
 The contraction route builds the pencil's form in fresh variables, where
-``hyperdet`` reads the same form off a few evaluations or, for two 2x2 slices,
-in closed form: contract the longest axis (ties to the highest index) with
-fresh variables u, take the hyperdeterminant of that pencil, then the
-discriminant of the form it gives in u.  The interpolation route reads the
-coefficients of det(A + tB) off evaluations at t = 0..D.
+``hyperdet`` writes the same form from the mixed determinants of its 2x2
+slices: contract the longest axis (ties to the highest index) with fresh
+variables u, take the hyperdeterminant of that pencil, then the discriminant
+of the form it gives in u.  The interpolation route reads the coefficients of
+det(A + tB) off evaluations at t = 0..D.
 """
 
 from hyperforms.hyperdet import binary_form_disc, det_square, hyperdet_degree, ternary_quadratic_disc

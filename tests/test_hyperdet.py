@@ -475,8 +475,8 @@ def test_split_is_planned_only_for_supported_formats(monkeypatch):
 
 
 def test_integer_2222_reads_its_2x2_pencils_in_closed_form(monkeypatch):
-    # the top step evaluates the 2x2x2 pencil at t = 0..4; each evaluation reads
-    # its pencil of 2x2 slices in closed form, with no determinant of its own
+    # one step writes the quartic from the mixed determinants of the 2x2 halves,
+    # with no recursion and no determinant of its own
     module = importlib.import_module("hyperforms.hyperdet")
     t = rand_tensor(random.Random(41), (2, 2, 2, 2))
     want = hyperdet(t)
@@ -485,7 +485,7 @@ def test_integer_2222_reads_its_2x2_pencils_in_closed_form(monkeypatch):
                         lambda shape, xs: calls.append(shape) or schlaefli(shape, xs))
     monkeypatch.setattr(module, "det_rows", lambda rows: dets.append(rows))
     assert hyperdet(t) == want
-    assert calls == [(2, 2, 2, 2)] + [(2, 2, 2)] * 5
+    assert calls == [(2, 2, 2, 2)]
     assert dets == []
 
 

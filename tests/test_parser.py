@@ -124,6 +124,17 @@ def test_powers_are_bounded():
         assert err.value.position == pos
 
 
+def test_exponent_zeros_lead_in_any_script():
+    # int() reads the decimal digits of every script, and so does the exponent limit
+    assert parse_poly("x^٠٠٣", XY) == parse_poly("x^3", XY)
+    assert parse_poly("x^٠٠٦٤", XY) == parse_poly("x^64", XY)
+    for zeros in ("0" * 5000, "٠" * 5000, "0٠" * 2500):  # more digits than int() accepts
+        assert parse_poly("x^" + zeros + "3", XY) == parse_poly("x^3", XY)
+    with pytest.raises(ParseError, match="exponent and degree limit 64") as err:
+        parse_poly("x^٠٠٠٩٩", XY)
+    assert err.value.position == 2
+
+
 def test_long_digit_strings_are_refused_at_their_token():
     # int() of more than 4300 digits raises Python's own error, without a position
     nines = "9" * 5000

@@ -9,7 +9,7 @@ import pytest
 import hyperforms
 from hyperforms.errors import DomainError
 from hyperforms.parser import parse_poly
-from hyperforms.poly import MultiPoly, lift, lower
+from hyperforms.poly import MultiPoly, lift, lower, readable_vars
 from hyperforms.scalars import zeta
 from hyperforms.tensor import Tensor
 
@@ -382,6 +382,24 @@ def test_every_constructor_refuses_repeated_variable_names():
         with pytest.raises(ValueError, match=r"^duplicate variable names in \('u', 'u'\)$"):
             build(("u", "u"))
     assert MultiPoly.variable("u", ("u", "v")).total_degree() == 1
+
+
+def test_variable_names_do_not_depend_on_the_cache():
+    # a tuple of str subclasses equals, and hashes as, the tuple of plain names,
+    # so it shares their cache entry: either way it is accepted and stored plain
+    class Name(str):
+        pass
+
+    for build in (readable_vars, lambda vs: MultiPoly.constant(1, vs).vars,
+                  lambda vs: MultiPoly.zero().with_vars(vs).vars):
+        outcomes = []
+        for warm in (False, True):
+            hyperforms.poly._readable.cache_clear()
+            if warm:
+                readable_vars(("x",))
+            vs = build((Name("x"),))
+            outcomes.append((vs, [type(v) for v in vs]))
+        assert outcomes == [(("x",), [str])] * 2
 
 
 # -- canonical form ------------------------------------------------------------------

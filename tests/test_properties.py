@@ -205,6 +205,8 @@ def format_tensors(draw):
 @given(format_tensors())
 @example(Tensor((2, 2, 2, 2), [0] * 16, _ST))
 @example(Tensor((2, 3, 2), [0] * 12))
+@example(Tensor((3, 2, 2), [i % 5 - 2 + (i % 3 - 1) * zeta(6) for i in range(12)]))
+@example(Tensor((2, 2, 2, 2), [1] * 16))  # every half singular, every mixed determinant 0
 def test_hyperdet_matches_contraction_route(t):
     got, oracle = hyperdet(t), contraction_hyperdet(t)
     assert got.vars == oracle.vars == t.vars and got == oracle
