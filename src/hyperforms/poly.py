@@ -392,11 +392,9 @@ class MultiPoly:
             for qe, qc in qrest:
                 te = tuple(map(_add, diff, qe))
                 s = rem.get(te)
-                if s is None:
-                    v = -coef * qc
-                    if v:
-                        rem[te] = v
-                        heapq.heappush(heap, (-sum(te), tuple(-x for x in te), te))
+                if s is None:  # a product of nonzero field elements, so never zero
+                    rem[te] = -coef * qc
+                    heapq.heappush(heap, (-sum(te), tuple(-x for x in te), te))
                 else:
                     s = s - coef * qc
                     if s:

@@ -13,6 +13,7 @@ builds Phi_m and reduces modulo it.  Inverses come from the field norm.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -149,7 +150,7 @@ class Cyclotomic:
         return NotImplemented if o is None else self + -o
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self) + other if isinstance(other, RATIONAL_TYPES) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -191,9 +192,10 @@ class Cyclotomic:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self.inverse() * other if isinstance(other, RATIONAL_TYPES) else NotImplemented
 
     def __pow__(self, n: int):
+        n = operator.index(n)
         return power(self.inverse() if n < 0 else self, abs(n), Fraction(1))
 
     # -- comparisons and hashing -------------------------------------------
@@ -246,6 +248,7 @@ def zeta(m: int):
 
 def scalar_pow(x, n: int):
     """x**n for rational or cyclotomic x, n possibly negative."""
+    n = operator.index(n)
     if isinstance(x, Cyclotomic):
         return x ** n
     return Fraction(as_rational(x)) ** n

@@ -50,15 +50,6 @@ def multi_indices(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
                  for c in itertools.combinations_with_replacement(range(nvars), degree))
 
 
-def fresh_names(avoid, count: int) -> tuple[str, ...]:
-    """Deterministic variable names not colliding with ``avoid``."""
-    taken = set(avoid)
-    prefix = "u"
-    while any(f"{prefix}{i}" in taken for i in range(count)):
-        prefix = "_" + prefix
-    return tuple(f"{prefix}{i}" for i in range(count))
-
-
 class Tensor:
     """Dense tensor of polynomial entries sharing one variable list.
 
@@ -123,6 +114,8 @@ class Tensor:
         return flat
 
     def unflatten(self, flat: int) -> tuple[int, ...]:
+        if not 0 <= (flat := operator.index(flat)) < len(self._items):
+            raise IndexError(f"index {flat} out of bounds for shape {self.shape}")
         idx = []
         for n in reversed(self.shape):
             idx.append(flat % n)

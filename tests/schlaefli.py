@@ -10,7 +10,15 @@ det(A + tB) off evaluations at t = 0..D.
 
 from hyperforms.hyperdet import binary_form_disc, det_square, hyperdet_degree, ternary_quadratic_disc
 from hyperforms.scalars import exact_quotient
-from hyperforms.tensor import fresh_names
+
+
+def fresh_names(avoid, count: int) -> tuple[str, ...]:
+    """Deterministic variable names not colliding with ``avoid``."""
+    taken = set(avoid)
+    prefix = "u"
+    while any(f"{prefix}{i}" in taken for i in range(count)):
+        prefix = "_" + prefix
+    return tuple(f"{prefix}{i}" for i in range(count))
 
 
 def contraction_hyperdet(t):

@@ -16,8 +16,9 @@ from hyperforms.parser import parse_poly
 from hyperforms.polarisation import hyperhessian, hyperresultant
 from hyperforms.verify import factored_constant, is_23_smooth, run_suite
 
+from shared import XY
+
 SEED = 7
-XY = ("x", "y")
 QUARTIC_VARS = ("c40", "c31", "c22", "c13", "c04", "x", "y")
 QUARTIC_TEXT = "c40*x^4 + c31*x^3*y + c22*x^2*y^2 + c13*x*y^3 + c04*y^4"
 

@@ -17,22 +17,9 @@ from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import zeta
 
+from shared import P, XY, random_form
 from substitute import subs
 from sylvester import sylvester_rows
-
-XY = ("x", "y")
-
-
-def P(text, variables=XY):
-    return parse_poly(text, variables)
-
-
-def random_form(rng, degree, bound=9):
-    while True:
-        f = MultiPoly(XY, {(degree - i, i): Fraction(rng.randint(-bound, bound))
-                           for i in range(degree + 1)})
-        if not f.is_zero():
-            return f
 
 
 # -- resultants -----------------------------------------------------------------

@@ -20,11 +20,11 @@ from hyperforms.gramm import GrammValue, gramm_form, gramm_tensor, project_k, sk
 from hyperforms.hyperdet import binary_form_disc, det_rows, hyperdet, ternary_quadratic_disc
 from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
-from hyperforms.scalars import Cyclotomic, exact_quotient, zeta
+from hyperforms.scalars import Cyclotomic, exact_quotient, scalar_pow, zeta
 from hyperforms.tensor import Tensor
 from hyperforms.verify import SUITES, IdentityRecord, VerifyReport, run_suite
 
-XY = ("x", "y")
+from shared import XY
 
 
 def check_exact(value):
@@ -227,6 +227,18 @@ def test_cyclotomic_inverse_and_division_stay_exact():
                 continue
             check_exact([x.inverse(), x / y, y / x, x / 3, x / Fraction(2, 3), 5 / y,
                          exact_quotient(x, y), exact_quotient(7, y)])
+
+
+def test_scalar_pow_stays_exact():
+    # x**n by repeated multiplication, inverted for n < 0; a bool exponent counts as int
+    bases = [3, -2, Fraction(2, 3), Fraction(-5, 7)] + [zeta(m) for m in (3, 4, 5, 6, 12)]
+    for x in bases + [zeta(6) + 2, Fraction(1, 2) * zeta(8) - 1]:
+        for n in range(-4, 5):
+            want = math.prod([x] * abs(n), start=Fraction(1))
+            got = scalar_pow(x, n)
+            check_exact(got)
+            assert got == (Fraction(1) / want if n < 0 else want), (x, n)
+        assert scalar_pow(x, True) == x and scalar_pow(x, False) == 1
 
 
 def test_cyclotomic_reduction_stores_integral_entries_as_int():

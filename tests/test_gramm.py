@@ -21,16 +21,7 @@ from hyperforms.poly import MultiPoly
 from hyperforms.scalars import zeta
 from hyperforms.tensor import Tensor
 
-
-def const_tensor(shape, values):
-    return Tensor(shape, [MultiPoly.constant(v) for v in values])
-
-
-def rand_tensor(rng, shape, bound=9):
-    size = 1
-    for n in shape:
-        size *= n
-    return const_tensor(shape, [rng.randint(-bound, bound) for _ in range(size)])
+from shared import const_tensor, rand_tensor
 
 
 # -- orbit tables ------------------------------------------------------------------

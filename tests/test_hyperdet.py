@@ -26,24 +26,8 @@ from hyperforms.scalars import Cyclotomic, zeta
 from hyperforms.tensor import Tensor
 
 from partials import derivative as iterated_derivative
+from shared import P, XY, const_tensor, rand_tensor
 from sylvester import sylvester_disc as _sylvester_disc
-
-XY = ("x", "y")
-
-
-def P(text, variables=XY):
-    return parse_poly(text, variables)
-
-
-def const_tensor(shape, values):
-    return Tensor(shape, [MultiPoly.constant(v) for v in values])
-
-
-def rand_tensor(rng, shape, bound=9):
-    size = 1
-    for n in shape:
-        size *= n
-    return const_tensor(shape, [rng.randint(-bound, bound) for _ in range(size)])
 
 
 # -- format classification ----------------------------------------------------------

@@ -8,7 +8,7 @@ from hyperforms.parser import parse_poly
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import zeta
 
-XY = ("x", "y")
+from shared import XY
 
 
 def test_expanded_square():

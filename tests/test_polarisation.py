@@ -21,15 +21,11 @@ from hyperforms.polarisation import (
     polarize,
 )
 
+from shared import P, XY, random_form
 from substitute import subs
 
-XY = ("x", "y")
 CUBIC_VARS = ("c30", "c21", "c12", "c03", "x", "y")
 QUARTIC_VARS = ("c40", "c31", "c22", "c13", "c04", "x", "y")
-
-
-def P(text, variables=XY):
-    return parse_poly(text, variables)
 
 
 def symbolic_cubic():
@@ -39,14 +35,6 @@ def symbolic_cubic():
 def symbolic_quartic():
     return parse_poly("c40*x^4 + c31*x^3*y + c22*x^2*y^2 + c13*x*y^3 + c04*y^4",
                       QUARTIC_VARS)
-
-
-def random_form(rng, degree, bound=9):
-    while True:
-        f = MultiPoly(XY, {(degree - i, i): Fraction(rng.randint(-bound, bound))
-                           for i in range(degree + 1)})
-        if not f.is_zero():
-            return f
 
 
 # -- polarize ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,13 +15,8 @@ from hyperforms.scalars import zeta
 from hyperforms.tensor import Tensor
 
 from partials import derivative as iterated_derivative
+from shared import P, XY
 from substitute import subs
-
-XY = ("x", "y")
-
-
-def P(text, variables=XY):
-    return parse_poly(text, variables)
 
 
 def random_poly(rng, variables=XY, max_terms=5, max_exp=4, bound=9):
@@ -460,6 +456,27 @@ def test_term_format_stays_private_to_poly():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in ("terms", "_raw"):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, found
+
+
+def _names_used(tree) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_public_functions_serve_the_library():
+    # a public module-level function is called from src/, exported, or traced by the
+    # benchmark; one that only tests call belongs with the tests
+    src = Path(hyperforms.__file__).parent
+    tracing = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tracing.body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS")
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    used = sum(map(_names_used, trees.values()), Counter())
+    found = [f"{module}.{fn.name}" for module, tree in trees.items() for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+             and used[fn.name] == _names_used(fn)[fn.name]  # no use outside its own body
+             and fn.name not in hyperforms.__all__ and fn.name not in layers.get(module, ())]
     assert not found, found
 
 

@@ -44,12 +44,13 @@ from hyperforms.polarisation import (  # noqa: E402
     hyperresultant, jacobi_form, jacobi_sequence, polarize)
 from hyperforms.poly import MultiPoly, lower, merge_vars  # noqa: E402
 from hyperforms.scalars import Cyclotomic, exact_quotient, zeta  # noqa: E402
-from hyperforms.tensor import Tensor, fresh_names, multi_indices  # noqa: E402
+from hyperforms.tensor import Tensor, multi_indices  # noqa: E402
 
 from parser_oracle import parse_poly as oracle_parse  # noqa: E402
 from partials import derivative as iterated_derivative  # noqa: E402
 from render_oracle import cyclotomic_text, poly_text  # noqa: E402
-from schlaefli import contraction_hyperdet, pencil_by_interpolation  # noqa: E402
+from schlaefli import contraction_hyperdet, fresh_names, pencil_by_interpolation  # noqa: E402
+from shared import XY  # noqa: E402
 from substitute import subs  # noqa: E402
 from sylvester import sylvester_disc, sylvester_rows  # noqa: E402
 
@@ -441,9 +442,6 @@ def test_polarisation_entries_are_iterated_partials(case):
     gradients = [tuple(map(idx.count, range(n)))
                  for idx in itertools.product(range(n), repeat=steps)]
     _assert_partials(jacobi_sequence(h, steps, geo), [h], gradients, geo)
-
-
-XY = ("x", "y")
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Refusals of the library API that no other test reaches: each bad call raises
 its exception type with its one-line message, word for word."""
 
+from fractions import Fraction
+
 import pytest
 
 from hyperforms.classical import sylvester_resultant
@@ -9,10 +11,11 @@ from hyperforms.hyperdet import binary_form_disc, cayley_hyperdet_222, det_rows
 from hyperforms.parser import parse_poly
 from hyperforms.polarisation import hyperresultant, jacobi_form, polarize
 from hyperforms.poly import MultiPoly
-from hyperforms.scalars import zeta
+from hyperforms.scalars import scalar_pow, zeta
 from hyperforms.tensor import Tensor, multi_indices
 
 T = Tensor((2, 2), [1, 2, 3, 4])
+T23 = Tensor((2, 3), range(6))
 X = MultiPoly.variable("x", ("x", "y"))
 
 REFUSALS = [
@@ -32,6 +35,12 @@ REFUSALS = [
      IndexError, "index (0,) has wrong arity for shape (2, 2)"),
     ("flat_index_bounds", lambda: T.flat_index((0, 2)),
      IndexError, "index (0, 2) out of bounds for shape (2, 2)"),
+    ("unflatten_past_the_end", lambda: T23.unflatten(6),
+     IndexError, "index 6 out of bounds for shape (2, 3)"),
+    ("unflatten_negative", lambda: T23.unflatten(-1),
+     IndexError, "index -1 out of bounds for shape (2, 3)"),
+    ("unflatten_float", lambda: T23.unflatten(2.0),
+     TypeError, "'float' object cannot be interpreted as an integer"),
     ("transpose_not_a_permutation", lambda: T.transpose((0, 0)),
      ValueError, "(0, 0) is not a permutation of axes"),
     ("tensor_plus_scalar", lambda: T + 1,
@@ -60,6 +69,24 @@ REFUSALS = [
      DomainError, "zero polynomial needs an explicit degree"),
     ("cyclotomic_minus_other_order", lambda: zeta(6) - zeta(4),
      ValueError, "mixed cyclotomic orders 6 and 4"),
+    # a reflected operator names its own operation, the operands in their order
+    ("float_minus_cyclotomic", lambda: 0.5 - zeta(6),
+     TypeError, "unsupported operand type(s) for -: 'float' and 'Cyclotomic'"),
+    ("float_over_cyclotomic", lambda: 0.5 / zeta(6),
+     TypeError, "unsupported operand type(s) for /: 'float' and 'Cyclotomic'"),
+    # an exponent is an integer, read with operator.index
+    ("scalar_pow_float_exponent", lambda: scalar_pow(4, 0.5),
+     TypeError, "'float' object cannot be interpreted as an integer"),
+    ("scalar_pow_fraction_exponent", lambda: scalar_pow(Fraction(4), Fraction(1, 2)),
+     TypeError, "'Fraction' object cannot be interpreted as an integer"),
+    ("scalar_pow_str_exponent", lambda: scalar_pow(zeta(6), "2"),
+     TypeError, "'str' object cannot be interpreted as an integer"),
+    ("cyclotomic_float_power", lambda: zeta(6) ** 2.0,
+     TypeError, "'float' object cannot be interpreted as an integer"),
+    ("cyclotomic_fraction_power", lambda: zeta(6) ** Fraction(2),
+     TypeError, "'Fraction' object cannot be interpreted as an integer"),
+    ("cyclotomic_str_power", lambda: zeta(6) ** "2",
+     TypeError, "'str' object cannot be interpreted as an integer"),
     # a variable name must read back from printed text and tensor JSON
     ("empty_variable_name", lambda: MultiPoly.variable("", ("",)),
      ValueError, "variable name '' is not an ASCII identifier"),

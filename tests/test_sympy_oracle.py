@@ -17,7 +17,8 @@ from hyperforms.parser import parse_poly  # noqa: E402
 from hyperforms.poly import MultiPoly  # noqa: E402
 from hyperforms.scalars import Cyclotomic, cyclotomic_polynomial, zeta  # noqa: E402
 
-XY = ("x", "y")
+from shared import XY  # noqa: E402
+
 X = sympy.Symbol("x")
 
 

@@ -11,11 +11,10 @@ from hyperforms.parser import parse_poly
 from hyperforms.polarisation import jacobi_form, jacobi_sequence, polarize
 from hyperforms.poly import MultiPoly
 from hyperforms.scalars import Cyclotomic, zeta
-from hyperforms.tensor import Tensor, check_shape, fresh_names, multi_indices
+from hyperforms.tensor import Tensor, check_shape, multi_indices
 
-
-def const_tensor(shape, values):
-    return Tensor(shape, [MultiPoly.constant(v) for v in values])
+from schlaefli import fresh_names
+from shared import const_tensor, rand_tensor
 
 
 # -- multi-index enumeration ------------------------------------------------------
@@ -136,11 +135,6 @@ def test_fresh_names_avoid_collisions():
 
 
 # -- GL action -------------------------------------------------------------------------
-
-
-def rand_tensor(rng, shape, bound=9):
-    size = math.prod(shape)
-    return const_tensor(shape, [rng.randint(-bound, bound) for _ in range(size)])
 
 
 def test_apply_gl_identity():
